@@ -13,11 +13,6 @@
    a runnable spec.
 4. **Distribution fidelity** — TVD between synthesized and ground-truth
    marginals, beyond the paper's CC/DC error measures.
-5. **SQL pushdown** — the pluggable kernel-executor layer: the same
-   workload re-synthesized with ``executor = "sqlite"`` (relational
-   kernels compiled to SQL against the embedded stdlib engine) is
-   byte-identical to the numpy run, and each edge report records which
-   engine actually ran.
 
 Every solve goes through the one ``repro.synthesize`` front door.
 
@@ -154,18 +149,6 @@ def main() -> None:
     print("4. fidelity (TVD vs ground truth):")
     for attrs, tvd in report.items():
         print(f"   {'×'.join(attrs):<10} {tvd:.4f}")
-
-    # ------------------------------------------------------------------
-    # 5. SQL pushdown: same spec, kernels on the embedded SQL engine.
-    # ------------------------------------------------------------------
-    spec = census_spec("pushdown", data, ccs=ccs, dcs=dcs)
-    pushed = repro.synthesize(spec.with_options(executor="sqlite"))
-    identical = constrained.database.identical_to(pushed.database)
-    print(
-        f"5. SQL pushdown: executor={pushed.edges[0].executor}, output "
-        f"identical to numpy: {identical}"
-    )
-    assert identical
 
 
 if __name__ == "__main__":

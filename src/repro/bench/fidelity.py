@@ -17,7 +17,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relational.executor import NUMPY_EXECUTOR
 from repro.relational.ordering import tuple_sort_key
 from repro.relational.relation import Relation
 
@@ -34,8 +33,8 @@ def marginal_tvd(
     if len(view_a) == 0 or len(view_b) == 0:
         return 1.0 if len(view_a) != len(view_b) else 0.0
 
-    counts_a = NUMPY_EXECUTOR.group_counts(view_a, list(attrs))
-    counts_b = NUMPY_EXECUTOR.group_counts(view_b, list(attrs))
+    counts_a = view_a.group_counts(list(attrs))
+    counts_b = view_b.group_counts(list(attrs))
     # Canonically ordered: float summation below must not vary with the
     # sets' hash order.
     support = sorted(set(counts_a) | set(counts_b), key=tuple_sort_key)

@@ -29,7 +29,6 @@ from repro.datagen.outofcore import (
     expected_cell_counts,
     outofcore_spec,
 )
-from repro.relational.executor import NUMPY_EXECUTOR
 from repro.relational.store import DEFAULT_CHUNK_ROWS
 from repro.spec.api import synthesize
 
@@ -49,9 +48,8 @@ def _observed_cells(result) -> Tuple[Dict[Tuple[str, str], int], int]:
         zip(sites.column("sid").tolist(), sites.column("Region").tolist())
     )
     cells: Dict[Tuple[str, str], int] = {}
-    for (segment, sid), count in NUMPY_EXECUTOR.group_counts(
-        events, ("Segment", "site_id")
-    ).items():
+    counts = events.group_counts(("Segment", "site_id"))
+    for (segment, sid), count in counts.items():
         key = (segment, region_of[sid])
         cells[key] = cells.get(key, 0) + count
     return cells, len(events)

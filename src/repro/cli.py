@@ -21,8 +21,8 @@ Subcommands:
       repro-synth serve --jobs-dir jobs/ --port 8321
 
 * ``lint`` — run repro-lint, the repo's own AST-based static-analysis
-  suite (determinism, executor-seam, store-lifetime, pool-payload and
-  config-drift checks) against a committed baseline::
+  suite (determinism, store-lifetime, pool-payload and config-drift
+  checks) against a committed baseline::
 
       repro-synth lint                  # or: python -m repro.lint
       repro-synth lint --list-checks
@@ -143,15 +143,13 @@ def _with_cli_options(
     spec: SynthesisSpec, args: argparse.Namespace
 ) -> SynthesisSpec:
     """Apply the option-override flags (``--workers``, ``--storage``,
-    ``--chunk-rows``, ``--memory-budget-mb``, ``--executor``); bad
+    ``--chunk-rows``, ``--memory-budget-mb``); bad
     values get the CLI's clean error path, naming the offending flag."""
     overrides = (
         ("--workers", "workers", args.workers),
         ("--storage", "storage", args.storage or None),
         ("--chunk-rows", "chunk_rows", args.chunk_rows),
         ("--memory-budget-mb", "memory_budget_mb", args.memory_budget_mb),
-        ("--executor", "executor", args.executor or None),
-        ("--sql-min-rows", "sql_min_rows", args.sql_min_rows),
     )
     for flag, knob, value in overrides:
         if value is None:
@@ -179,8 +177,6 @@ def _print_edge_reports(result: SynthesisResult) -> None:
             )
         if edge.total_overflow:
             line += f" | overflow {edge.total_overflow}"
-        if edge.executor != "numpy":
-            line += f" | exec={edge.executor}"
         line += (
             f" | +{edge.num_new_parent_tuples} parent tuples, "
             f"solve {edge.total_seconds:.3f}s"
@@ -471,15 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="memory_budget_mb",
                        help="advisory peak-RSS budget recorded in the "
                        "summary (enforced by the out-of-core benchmarks)")
-    solve.add_argument("--executor", choices=("numpy", "duckdb", "sqlite"),
-                       default="",
-                       help="kernel executor: in-process numpy (default) "
-                       "or SQL pushdown to embedded DuckDB/SQLite "
-                       "(identical output)")
-    solve.add_argument("--sql-min-rows", type=int, default=None,
-                       dest="sql_min_rows",
-                       help="only push a relation's kernels to SQL once "
-                       "it has at least this many rows")
     solve.set_defaults(func=_cmd_solve)
 
     disc = sub.add_parser(
@@ -545,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       dest="max_specs",
                       help="hard cap on iterations (default: budget-bound)")
     fuzz.add_argument("--max-cells", type=int, default=4, dest="max_cells",
-                      help="executor×storage×workers cells per spec "
+                      help="storage×workers cells per spec "
                       "(baseline included)")
     fuzz.add_argument("--chaos-edge", type=int, default=None,
                       dest="chaos_edge",
@@ -570,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run repro-lint, the repo's own static-analysis suite "
-        "(determinism, executor seam, store lifetime, pool payloads, "
+        "(determinism, store lifetime, pool payloads, "
         "config drift); also available as `python -m repro.lint`",
     )
     _build_lint_parser(lint)

@@ -41,16 +41,6 @@ class SolverConfig:
       budget).
     * ``storage_dir`` — directory for the on-disk column stores (``None``
       = a temporary directory per relation).
-    * ``executor`` — engine for the relational kernels: ``"numpy"`` (the
-      library's own columnar kernels, the default and the historical
-      behaviour to the byte), ``"duckdb"`` or ``"sqlite"`` (compile the
-      group-by / join / selection / DC kernels to SQL on an embedded
-      engine; output is byte-identical, per-call fallback to numpy for
-      anything SQL cannot express).  ``"duckdb"`` requires the optional
-      ``duckdb`` package.
-    * ``sql_min_rows`` — per-relation auto-selection threshold for the
-      SQL executors: relations with fewer rows stay on the numpy
-      kernels (``0`` pushes everything down).
     """
 
     backend: str = "scipy"
@@ -67,8 +57,6 @@ class SolverConfig:
     chunk_rows: int = 262_144
     memory_budget_mb: Optional[int] = None
     storage_dir: Optional[str] = None
-    executor: str = "numpy"
-    sql_min_rows: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in ("scipy", "native"):
@@ -89,7 +77,3 @@ class SolverConfig:
             raise ValueError("time_limit must be positive (or None)")
         if self.mip_gap is not None and not 0 <= self.mip_gap < 1:
             raise ValueError("mip_gap must be in [0, 1) (or None)")
-        if self.executor not in ("numpy", "duckdb", "sqlite"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-        if self.sql_min_rows < 0:
-            raise ValueError("sql_min_rows must be >= 0")

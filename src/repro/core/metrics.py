@@ -7,20 +7,19 @@
   violation.
 
 Both are computed on the *final* relations — after Phase II may have grown
-``R2̂`` — exactly as the paper evaluates.  Every measure dispatches through
-a :class:`~repro.relational.executor.KernelExecutor` (numpy by default),
-so evaluation can run on the same SQL backend as the solve.
+``R2̂`` — exactly as the paper evaluates.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.constraints.cc import CardinalityConstraint
+from repro.constraints.cc import CardinalityConstraint, count_ccs
 from repro.constraints.dc import DenialConstraint, count_violating_tuples
-from repro.relational.executor import NUMPY_EXECUTOR, KernelExecutor
+from repro.phase2.edges import violating_rows
+from repro.relational import join
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -33,38 +32,30 @@ __all__ = [
 
 
 def cc_errors(
-    join_view: Relation,
-    ccs: Sequence[CardinalityConstraint],
-    executor: Optional[KernelExecutor] = None,
+    join_view: Relation, ccs: Sequence[CardinalityConstraint]
 ) -> List[float]:
     """Per-CC relative errors over a (materialised) join view.
 
-    All CCs are counted in one fused pass — over the view's cached column
-    codes (:func:`repro.constraints.cc.count_ccs`) on the numpy executor,
-    or as a single multi-aggregate SQL query on a SQL executor.
+    All CCs are counted in one fused pass over the view's cached column
+    codes (:func:`repro.constraints.cc.count_ccs`).
     """
-    executor = executor or NUMPY_EXECUTOR
     return [
         abs(achieved - cc.target) / max(10, cc.target)
-        for cc, achieved in zip(ccs, executor.count_ccs(join_view, ccs))
+        for cc, achieved in zip(ccs, count_ccs(join_view, ccs))
     ]
 
 
 def dc_error(
-    r1_hat: Relation,
-    fk_column: str,
-    dcs: Sequence[DenialConstraint],
-    executor: Optional[KernelExecutor] = None,
+    r1_hat: Relation, fk_column: str, dcs: Sequence[DenialConstraint]
 ) -> float:
     """Fraction of R1̂ tuples participating in some DC violation.
 
-    The numpy executor materialises row dicts only for multi-member FK
-    groups and only over the attributes the DCs mention; a SQL executor
-    counts the distinct members of violating pairs with one self-join
-    query per DC.
+    Counts the rows :func:`repro.phase2.edges.violating_rows` finds,
+    over the same atom kernels Phase II's conflict edges use.
     """
-    executor = executor or NUMPY_EXECUTOR
-    return executor.dc_error(r1_hat, fk_column, dcs)
+    if len(r1_hat) == 0:
+        return 0.0
+    return len(violating_rows(r1_hat, fk_column, dcs)) / len(r1_hat)
 
 
 def dc_error_naive(
@@ -117,12 +108,10 @@ def evaluate(
     fk_column: str,
     ccs: Sequence[CardinalityConstraint],
     dcs: Sequence[DenialConstraint],
-    executor: Optional[KernelExecutor] = None,
 ) -> ErrorReport:
     """Full error report on a synthesized database."""
-    executor = executor or NUMPY_EXECUTOR
-    join_view = executor.fk_join(r1_hat, r2_hat, fk_column)
+    join_view = join.fk_join(r1_hat, r2_hat, fk_column)
     return ErrorReport(
-        per_cc=cc_errors(join_view, ccs, executor=executor),
-        dc_error=dc_error(r1_hat, fk_column, dcs, executor=executor),
+        per_cc=cc_errors(join_view, ccs),
+        dc_error=dc_error(r1_hat, fk_column, dcs),
     )

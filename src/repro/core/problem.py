@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.constraints.cc import CardinalityConstraint
+from repro.constraints.cc import CardinalityConstraint, count_ccs
 from repro.constraints.dc import DenialConstraint
 from repro.errors import ConstraintError
-from repro.relational.executor import NUMPY_EXECUTOR, KernelExecutor
+from repro.relational import join
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec
 
@@ -37,13 +37,8 @@ class CExtensionProblem:
         if self.r2.schema.key is None:
             raise ConstraintError("R2 must declare a primary key")
 
-    def check(
-        self,
-        fk_values: Sequence[object],
-        executor: Optional[KernelExecutor] = None,
-    ) -> bool:
+    def check(self, fk_values: Sequence[object]) -> bool:
         """Does this complete FK assignment satisfy every CC and DC?"""
-        executor = executor or NUMPY_EXECUTOR
         r1 = self.r1
         if self.fk_column in r1.schema:
             r1 = r1.drop_column(self.fk_column)
@@ -51,10 +46,9 @@ class CExtensionProblem:
         r1_hat = r1.with_column(
             ColumnSpec(self.fk_column, key_dtype), list(fk_values)
         )
-        view = executor.fk_join(r1_hat, self.r2, self.fk_column)
-        # One fused pass over the view for all CCs (cached column codes
-        # on the numpy executor, one multi-aggregate query on SQL).
-        achieved = executor.count_ccs(view, self.ccs)
+        view = join.fk_join(r1_hat, self.r2, self.fk_column)
+        # One fused pass over the view's cached column codes for all CCs.
+        achieved = count_ccs(view, self.ccs)
         for cc, count in zip(self.ccs, achieved):
             if count != cc.target:
                 return False

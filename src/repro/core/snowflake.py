@@ -48,8 +48,8 @@ from repro.core.parallel_snowflake import (
 )
 from repro.core.synthesizer import CExtensionResult
 from repro.errors import SchemaError
+from repro.relational import join
 from repro.relational.database import Database, ForeignKey
-from repro.relational.executor import executor_from_config
 from repro.relational.relation import Relation
 
 __all__ = ["EdgeConstraints", "SnowflakeResult", "SnowflakeSynthesizer"]
@@ -110,7 +110,6 @@ class SnowflakeSynthesizer:
 
     def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config or SolverConfig()
-        self.executor = executor_from_config(self.config)
 
     def _extended_view(
         self,
@@ -144,9 +143,7 @@ class SnowflakeSynthesizer:
                 # its attributes are in the view once already, so the
                 # duplicate path keeps only its (imputed) FK column.
                 continue
-            view = self.executor.fk_join(
-                view, database.relation(fk.parent), fk.column
-            )
+            view = join.fk_join(view, database.relation(fk.parent), fk.column)
             joined.add(fk.parent)
             stack.extend(
                 out
@@ -295,7 +292,6 @@ class SnowflakeSynthesizer:
                 wall_s=step.report.wall_seconds,
                 solve_s=step.report.total_seconds,
                 new_parent_tuples=step.phase2.stats.num_new_r2_tuples,
-                executor=step.report.executor,
             )
 
         work = database.copy()

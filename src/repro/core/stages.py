@@ -87,7 +87,6 @@ def _coloring_strategy(
     """The paper's Algorithm 3/4 list coloring (the default Phase II)."""
     from repro.core.config import SolverConfig
     from repro.phase2.fk_assignment import run_phase2
-    from repro.relational.executor import executor_from_config
 
     if options:
         raise ReproError(
@@ -104,5 +103,4 @@ def _coloring_strategy(
         ccs=ccs,
         partitioned=config.partitioned_coloring,
         parallel_workers=config.parallel_workers,
-        executor=executor_from_config(config),
     )

@@ -33,7 +33,7 @@ from repro.core.stages import phase2_strategy
 from repro.errors import SchemaError
 from repro.phase1.hybrid import Phase1Result, run_phase1
 from repro.phase2.fk_assignment import Phase2Result
-from repro.relational.executor import NUMPY_EXECUTOR, executor_from_config
+from repro.relational import join
 from repro.relational.relation import Relation
 
 __all__ = ["SolveReport", "CExtensionResult", "CExtensionSolver"]
@@ -49,10 +49,6 @@ class SolveReport:
     evaluation plus per-edge bookkeeping — measured wherever the solve
     actually ran (in the worker process for parallel traversals), while
     ``total_seconds`` is the pure Phase-I + Phase-II solve time.
-    ``executor`` records which kernel engine effectively ran for this
-    solve (``"numpy"``, ``"duckdb"`` or ``"sqlite"`` — a SQL executor
-    reports ``"numpy"`` when the child relation fell below its
-    ``sql_min_rows`` threshold).
     """
 
     phase1_seconds: float = 0.0
@@ -60,7 +56,6 @@ class SolveReport:
     evaluate_seconds: float = 0.0
     wall_seconds: float = 0.0
     errors: Optional[ErrorReport] = None
-    executor: str = "numpy"
 
     @property
     def total_seconds(self) -> float:
@@ -87,7 +82,7 @@ class CExtensionResult:
 
     def join_view(self) -> Relation:
         """``R1̂ ⋈ R2̂`` — equals the Phase-I view (Proposition 5.5)."""
-        return NUMPY_EXECUTOR.fk_join(self.r1_hat, self.r2_hat, self.fk_column)
+        return join.fk_join(self.r1_hat, self.r2_hat, self.fk_column)
 
 
 class CExtensionSolver:
@@ -116,7 +111,6 @@ class CExtensionSolver:
         ``max_per_key`` option in ``strategy_options``).
         """
         config = self.config
-        executor = executor_from_config(config)
         run_strategy = phase2_strategy(strategy)
         if r2.schema.key is None:
             raise SchemaError("R2 must declare a primary key column")
@@ -127,7 +121,7 @@ class CExtensionSolver:
         r2_attrs = [n for n in r2.schema.names if n != r2.schema.key]
         validate_cc_set(ccs, set(r1_attrs), set(r2_attrs))
 
-        report = SolveReport(executor=executor.engine_for(r1))
+        report = SolveReport()
         logger.info(
             "solving C-Extension: |R1|=%d, |R2|=%d, %d CCs, %d DCs",
             len(r1), len(r2), len(ccs), len(dcs),
@@ -186,7 +180,6 @@ class CExtensionSolver:
                 fk_column,
                 ccs,
                 dcs,
-                executor=executor,
             )
             report.evaluate_seconds = time.perf_counter() - started
 

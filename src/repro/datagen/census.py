@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.relational import join
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
 from repro.relational.types import Dtype
@@ -107,9 +108,7 @@ class CensusData:
         return self.persons.drop_column("hid")
 
     def ground_truth_join(self) -> Relation:
-        from repro.relational.executor import NUMPY_EXECUTOR
-
-        return NUMPY_EXECUTOR.fk_join(self.persons, self.housing, "hid")
+        return join.fk_join(self.persons, self.housing, "hid")
 
 
 def _sample_member_ages(

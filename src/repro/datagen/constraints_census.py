@@ -40,7 +40,6 @@ from repro.datagen.census import (
     REL_STEP_CHILD,
     CensusData,
 )
-from repro.relational.executor import NUMPY_EXECUTOR
 from repro.relational.predicate import Interval, Predicate, ValueSet
 
 __all__ = [
@@ -260,13 +259,12 @@ def _r2_conditions(data: CensusData) -> List[Predicate]:
     housing = data.housing
     conditions: List[Predicate] = []
     if "Tenure" in housing.schema and "Area" in housing.schema:
-        for tenure, area in NUMPY_EXECUTOR.distinct(housing,
-                                                    ["Tenure", "Area"]):
+        for tenure, area in housing.distinct(["Tenure", "Area"]):
             conditions.append(
                 Predicate({"Tenure": ValueSet([tenure]),
                            "Area": ValueSet([area])})
             )
-    for (area,) in NUMPY_EXECUTOR.distinct(housing, ["Area"]):
+    for (area,) in housing.distinct(["Area"]):
         conditions.append(Predicate({"Area": ValueSet([area])}))
     return conditions
 

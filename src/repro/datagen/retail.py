@@ -27,8 +27,8 @@ from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint, UnaryAtom
 from repro.core.snowflake import EdgeConstraints
 from repro.errors import ReproError
+from repro.relational import join
 from repro.relational.database import Database
-from repro.relational.executor import NUMPY_EXECUTOR
 from repro.relational.predicate import Predicate, ValueSet
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
@@ -83,10 +83,10 @@ class RetailData:
         products = self.database.relation("Products").with_column(
             ColumnSpec("supplier_id", Dtype.INT), self.truth_supplier
         )
-        view = NUMPY_EXECUTOR.fk_join(
+        view = join.fk_join(
             orders, self.database.relation("Customers"), "customer_id"
         )
-        view = NUMPY_EXECUTOR.fk_join(
+        view = join.fk_join(
             view, products.drop_column("supplier_id"), "product_id"
         )
         return view

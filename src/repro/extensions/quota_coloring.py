@@ -175,11 +175,7 @@ def quota_coloring_phase2(
         r2, catalog, keys_by_combo, new_rows, stats
     )
 
-    from repro.relational.executor import executor_from_config
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor_from_config(config)
-    )
+    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
 
     for combo in sorted(partitions.keys(), key=tuple_sort_key):
         rows = partitions[combo]

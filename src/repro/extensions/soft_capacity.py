@@ -177,11 +177,7 @@ def soft_capacity_phase2(
         r2, catalog, keys_by_combo, new_rows, stats
     )
 
-    from repro.relational.executor import executor_from_config
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor_from_config(config)
-    )
+    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
 
     started = time.perf_counter()
     for combo in sorted(partitions.keys(), key=tuple_sort_key):

@@ -9,8 +9,8 @@ The regression net over every execution mode the library ships:
   per-edge strategies and solver overrides), byte-reproducible from
   ``(seed, profile)``;
 * :mod:`repro.fuzz.oracle` — the differential oracle: one spec runs
-  through ``synthesize()`` across sampled ``{executor} × {storage} ×
-  {workers}`` cells, every cell must be ``Database.identical_to`` the
+  through ``synthesize()`` across sampled ``{storage} × {workers}``
+  cells, every cell must be ``Database.identical_to`` the
   baseline, fidelity must be exact, and injected solver failures must
   roll back transactionally and resume from service checkpoints;
 * :mod:`repro.fuzz.faults` — deterministic fail-on-Nth-edge solver

@@ -1,7 +1,7 @@
 """The differential oracle: one spec, every execution mode, one verdict.
 
-Every cell of the engine matrix — ``{executor} × {storage} × {workers}``
-— is contractually byte-identical (``Database.identical_to``), which
+Every cell of the engine matrix — ``{storage} × {workers}`` — is
+contractually byte-identical (``Database.identical_to``), which
 makes the matrix itself the test oracle: run a spec through
 :func:`repro.synthesize` in several cells and *any* disagreement is a
 bug, with no ground truth required.  On top of the identity check the
@@ -38,7 +38,6 @@ from repro.bench.fidelity import max_marginal_tvd
 from repro.errors import InfeasibleError
 from repro.fuzz.faults import InjectedFault, chaos_edge, failing_solver
 from repro.relational.database import Database
-from repro.relational.executor import duckdb_available
 from repro.service.cache import EdgeCache
 from repro.service.engine import run_spec
 from repro.spec.api import synthesize
@@ -63,18 +62,16 @@ _FUZZ_CHUNK_ROWS = 7
 class OracleCell:
     """One point of the engine matrix."""
 
-    executor: str
     storage: str
     workers: int
 
     @property
     def cell_id(self) -> str:
-        return f"{self.executor}/{self.storage}/w{self.workers}"
+        return f"{self.storage}/w{self.workers}"
 
     def overrides(self) -> Dict[str, object]:
         """The ``SolverConfig`` overrides that select this cell."""
         out: Dict[str, object] = {
-            "executor": self.executor,
             "storage": self.storage,
             "workers": self.workers,
         }
@@ -84,7 +81,7 @@ class OracleCell:
 
 
 #: The reference cell every other cell is compared against.
-BASELINE = OracleCell(executor="numpy", storage="numpy", workers=0)
+BASELINE = OracleCell(storage="numpy", workers=0)
 
 
 @dataclass
@@ -139,16 +136,10 @@ def sample_cells(
     """The baseline plus up to ``max_cells - 1`` sampled matrix cells.
 
     Sampling is seeded by ``(profile, seed)`` alone, so the replay
-    command printed for a failure re-runs exactly the same cells (on the
-    same environment — the duckdb axis exists only where the optional
-    package is installed).
+    command printed for a failure re-runs exactly the same cells.
     """
-    executors = ["numpy", "sqlite"]
-    if duckdb_available():
-        executors.append("duckdb")
     candidates = [
-        OracleCell(executor, storage, workers)
-        for executor in executors
+        OracleCell(storage, workers)
         for storage in ("numpy", "mmap")
         for workers in (0, 2)
     ]

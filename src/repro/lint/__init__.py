@@ -1,19 +1,17 @@
 """repro-lint — AST-based invariant checks for this codebase.
 
 The system rests on invariants that were historically enforced only at
-runtime: byte-identity across kernel executors, process-pool payload
-purity, store-lifetime ownership across worker boundaries, and the
-fingerprint option allowlist of the service cache.  This package checks
-them *statically*, on every push, before the nightly fuzz lane runs:
+runtime: byte-identity across storage backends and worker counts,
+process-pool payload purity, store-lifetime ownership across worker
+boundaries, and the fingerprint option allowlist of the service cache.
+This package checks them *statically*, on every push, before the
+nightly fuzz lane runs:
 
 * **D-series** — determinism: unordered ``set`` iteration feeding
   results, unseeded randomness, wall-clock/env/locale reads, unsorted
   directory listings inside the deterministic core
   (``relational/``, ``phase1/``, ``phase2/``, ``core/``,
   ``fuzz/specgen.py``);
-* **X-series** — executor seam: direct calls to the numpy kernel
-  methods outside ``relational/``, which must dispatch through
-  :class:`~repro.relational.executor.KernelExecutor`;
 * **S-series** — store lifetime: returning or committing a relation
   whose column store is rooted in a ``TemporaryDirectory`` (the exact
   bug class the PR 9 fuzzer found in ``commit_edge``);

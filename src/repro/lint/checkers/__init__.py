@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.lint.checkers import (  # noqa: F401  (registration)
     config_drift,
     determinism,
-    executor_seam,
     pool_payload,
     store_lifetime,
 )

@@ -1,7 +1,7 @@
 """D-series: the deterministic core must stay deterministic.
 
-Synthesis output is contractually byte-identical across executors,
-storage backends and worker counts; the fingerprint cache and the
+Synthesis output is contractually byte-identical across storage
+backends and worker counts; the fingerprint cache and the
 differential fuzz oracle both *assume* it.  Anything that lets hash
 randomization, global PRNG state, the wall clock, the environment or
 filesystem enumeration order leak into a result breaks that contract in

@@ -30,8 +30,8 @@ def build_parser(
         parser = argparse.ArgumentParser(
             prog="repro-lint",
             description="repro's own static-analysis suite "
-            "(determinism, executor seam, store lifetime, pool "
-            "payloads, config drift)",
+            "(determinism, store lifetime, pool payloads, config "
+            "drift)",
         )
     parser.add_argument(
         "paths",

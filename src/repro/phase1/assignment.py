@@ -248,18 +248,6 @@ class ViewAssignment:
             out[attr] = decode[codes]
         return out
 
-    def decode_combo(self, codes: Sequence[int]) -> tuple:
-        """Decode one per-attribute code vector to its B-value combo.
-
-        The executor seam of :meth:`group_by_combo`: a SQL backend groups
-        on the raw code matrix and decodes each group signature through
-        the same per-attribute value tables the numpy kernel uses, so the
-        combo tuples are identical objects either way.
-        """
-        return tuple(
-            self._code_values[j][int(c)] for j, c in enumerate(codes)
-        )
-
     def group_by_combo(
         self, chunk_rows: Optional[int] = None
     ) -> Dict[tuple, List[int]]:

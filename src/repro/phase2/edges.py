@@ -1,11 +1,14 @@
-"""Vectorised conflict-edge enumeration from denial constraints.
+"""Vectorised denial-constraint kernels: conflict edges and DC error.
 
-For the (dominant) binary DCs the enumerator evaluates each DC's unary
-atoms as numpy masks and its cross-tuple atoms on a broadcast grid, so a
-partition of ``m`` rows costs ``O(m²)`` numpy work instead of ``m²``
-Python-level evaluations.  DCs of arity ≥ 3 fall back to a pruned
-combinatorial scan (they only occur in small partitions in practice; the
-NAE-3SAT reduction is the canonical ternary example).
+For the (dominant) binary DCs the kernels evaluate each DC's unary atoms
+as numpy masks and its cross-tuple atoms over broadcast row-index arrays,
+so ``m`` candidate pairs cost ``O(m)`` numpy work instead of ``m``
+Python-level evaluations.  The same two atom kernels serve Phase II's
+conflict edges (Definition 5.1, a broadcast grid over one partition) and
+the DC error of Section 6.1 (:func:`violating_rows`, a flat list of the
+ordered pairs inside each FK group).  DCs of arity ≥ 3 fall back to a
+pruned combinatorial scan (they only occur in small partitions in
+practice; the NAE-3SAT reduction is the canonical ternary example).
 """
 
 from __future__ import annotations
@@ -15,11 +18,25 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.constraints.dc import BinaryAtom, DenialConstraint, UnaryAtom
+from repro.constraints.dc import (
+    BinaryAtom,
+    DenialConstraint,
+    UnaryAtom,
+    violating_members,
+)
 from repro.phase2.hypergraph import ConflictHypergraph
 from repro.relational.relation import Relation
 
-__all__ = ["add_dc_edges", "build_conflict_graph", "conflicting_pairs"]
+__all__ = [
+    "add_dc_edges",
+    "build_conflict_graph",
+    "conflicting_pairs",
+    "violating_rows",
+]
+
+#: Ordered in-group pairs :func:`violating_rows` evaluates per block —
+#: bounds its working set however large the FK groups or the relation.
+PAIR_BLOCK = 1 << 18
 
 _NP_OPS = {
     "==": np.equal,
@@ -51,32 +68,27 @@ def _unary_mask(
     return mask
 
 
-def _binary_grid(
+def _binary_mask(
     relation: Relation,
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
+    t1_rows: np.ndarray,
+    t2_rows: np.ndarray,
     atoms: Sequence[BinaryAtom],
 ) -> np.ndarray:
-    """Grid[i, j] — do (t1 = rows_a[i], t2 = rows_b[j]) satisfy all atoms?"""
-    grid = np.ones((len(rows_a), len(rows_b)), dtype=bool)
+    """Do the tuples ``(t1, t2) = (t1_rows, t2_rows)`` satisfy all atoms?
+
+    The two index arrays broadcast against each other: equal-length
+    vectors test a list of pairs, ``a[:, None]`` and ``b[None, :]`` the
+    full ``(|a|, |b|)`` grid.
+    """
+    rows = (t1_rows, t2_rows)
+    mask = np.ones(np.broadcast_shapes(t1_rows.shape, t2_rows.shape), bool)
     for atom in atoms:
-        left_rows = rows_a if atom.left_var == 0 else rows_b
-        right_rows = rows_a if atom.right_var == 0 else rows_b
-        left = relation.column(atom.left_attr)[left_rows]
-        right = relation.column(atom.right_attr)[right_rows]
+        left = relation.column(atom.left_attr)[rows[atom.left_var]]
+        right = relation.column(atom.right_attr)[rows[atom.right_var]]
         if atom.offset:
             right = right + atom.offset
-        if atom.left_var == 0 and atom.right_var == 1:
-            grid &= _NP_OPS[atom.op](left[:, None], right[None, :])
-        elif atom.left_var == 1 and atom.right_var == 0:
-            # left values index t2 (columns of the grid), right values t1
-            # (rows); broadcasting yields the (|a|, |b|) grid directly.
-            grid &= _NP_OPS[atom.op](left[None, :], right[:, None])
-        elif atom.left_var == 0 and atom.right_var == 0:
-            grid &= _NP_OPS[atom.op](left, right)[:, None]
-        else:  # both refer to t2
-            grid &= _NP_OPS[atom.op](left, right)[None, :]
-    return grid
+        mask &= _NP_OPS[atom.op](left, right)
+    return mask
 
 
 def conflicting_pairs(
@@ -101,7 +113,9 @@ def conflicting_pairs(
     cand_b = rows_b[mask_b1]
     if len(cand_a) == 0 or len(cand_b) == 0:
         return []
-    grid = _binary_grid(relation, cand_a, cand_b, dc.binary_atoms)
+    grid = _binary_mask(
+        relation, cand_a[:, None], cand_b[None, :], dc.binary_atoms
+    )
     # Exclude the degenerate pairing of a row with itself.
     same = cand_a[:, None] == cand_b[None, :]
     grid &= ~same
@@ -166,3 +180,95 @@ def build_conflict_graph(
     graph = ConflictHypergraph.over(int(r) for r in rows)
     add_dc_edges(graph, relation, dcs, rows)
     return graph
+
+
+def _in_memory(relation: Relation, names: Iterable[str]) -> Relation:
+    """``relation`` itself, or for a disk-backed one an in-RAM projection
+    onto ``names``, so each column is read once, not once per block."""
+    if not relation.is_chunked:
+        return relation
+    names = sorted(set(names))
+    return Relation(
+        relation.schema.project(names),
+        {name: relation.column(name) for name in names},
+    )
+
+
+def violating_rows(
+    relation: Relation,
+    fk_column: str,
+    dcs: Sequence[DenialConstraint],
+) -> np.ndarray:
+    """Ascending indices of the rows in some DC violation within their
+    FK group — the numerator of the DC error (Section 6.1).
+
+    Rows are sorted by the FK's cached codes, and every row's in-group
+    partners are expanded (``repeat``/``cumsum``) into a flat list of
+    ordered pairs, at most about :data:`PAIR_BLOCK` pairs at a time.
+    Binary DCs are tested on each block with :func:`_unary_mask` and
+    :func:`_binary_mask`; listing both orders of every pair covers the
+    FOL's quantification over orderings.  DCs of arity ≥ 3 scan each
+    large-enough group with :func:`~repro.constraints.dc.violating_members`.
+    """
+    n = len(relation)
+    if n == 0 or not dcs:
+        return np.empty(0, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
+    codes, _ = relation.codes(fk_column)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+
+    binary = [dc for dc in dcs if dc.arity == 2]
+    if binary:
+        pair_attrs = {
+            name
+            for dc in binary
+            for atom in dc.binary_atoms
+            for name in (atom.left_attr, atom.right_attr)
+        }
+        view = _in_memory(relation, pair_attrs)
+        # Per sorted position: its offset inside the group, and how many
+        # partners it has (0 for a singleton group).
+        group = np.repeat(np.arange(len(starts)), sizes)
+        local = np.arange(n) - starts[group]
+        degree = sizes[group] - 1
+        ends = np.cumsum(degree)
+        begins = ends - degree
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(ends, begins[lo] + PAIR_BLOCK, "right"))
+            hi = max(hi, lo + 1)
+            counts = degree[lo:hi]
+            anchor = np.repeat(np.arange(lo, hi), counts)
+            # The j-th partner of an anchor skips the anchor itself.
+            offsets = np.repeat(begins[lo:hi] - begins[lo], counts)
+            j = np.arange(len(anchor)) - offsets
+            partner = anchor - local[anchor] + j + (j >= local[anchor])
+            t1, t2 = order[anchor], order[partner]
+            for dc in binary:
+                unary = _unary_mask(relation, t1, dc.unary_atoms(0))
+                unary &= _unary_mask(relation, t2, dc.unary_atoms(1))
+                keep = np.flatnonzero(unary)
+                both = _binary_mask(view, t1[keep], t2[keep], dc.binary_atoms)
+                keep = keep[both]
+                hit[t1[keep]] = True
+                hit[t2[keep]] = True
+            lo = hi
+
+    kary = [dc for dc in dcs if dc.arity > 2]
+    if kary:
+        names = sorted(set().union(*(dc.attributes for dc in kary)))
+        cols = {name: relation.column(name) for name in names}
+        large = sizes >= min(dc.arity for dc in kary)
+        stops = starts + sizes
+        for start, stop in zip(starts[large].tolist(), stops[large].tolist()):
+            members = order[start:stop]
+            group_rows = [
+                {name: cols[name][i] for name in names}
+                for i in members.tolist()
+            ]
+            for c in violating_members(group_rows, kary):
+                hit[members[c]] = True
+    return np.flatnonzero(hit)

@@ -29,7 +29,6 @@ from repro.phase2.coloring import coloring_lf
 from repro.phase2.edges import build_conflict_graph
 from repro.phase2.hypergraph import ConflictHypergraph
 from repro.phase2.invalid import solve_invalid_tuples
-from repro.relational.executor import NUMPY_EXECUTOR, KernelExecutor
 from repro.relational.ordering import sort_key, tuple_sort_key
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec
@@ -49,21 +48,18 @@ __all__ = [
 
 
 def partition_by_combo(
-    assignment: ViewAssignment,
-    r1: Relation,
-    executor: Optional[KernelExecutor] = None,
+    assignment: ViewAssignment, r1: Relation
 ) -> Dict[tuple, List[int]]:
     """The Section-5.2 combo partitioning, chunk-aware.
 
     Every Phase-II strategy partitions the completed view the same way;
     when ``r1`` is disk-backed the assignment's code matrix is sorted one
     ``r1.chunk_rows``-sized block at a time (identical output, bounded
-    working set).  ``executor`` routes the grouping kernel (numpy
-    lexsort-and-split by default; a SQL executor groups the code matrix
-    with a window-ordered GROUP BY — identical partitions either way).
+    working set).
     """
-    executor = executor or NUMPY_EXECUTOR
-    return executor.group_by_combo(assignment, r1)
+    return assignment.group_by_combo(
+        chunk_rows=r1.chunk_rows if r1.is_chunked else None
+    )
 
 
 class FreshKeyFactory:
@@ -286,7 +282,6 @@ def run_phase2(
     ccs: Sequence[CardinalityConstraint] = (),
     partitioned: bool = True,
     parallel_workers: int = 0,
-    executor: Optional[KernelExecutor] = None,
 ) -> Phase2Result:
     """Complete ``R1.FK`` so every DC holds; possibly grow ``R2``.
 
@@ -312,9 +307,7 @@ def run_phase2(
     # Partition the completed rows by their full B-combo — one
     # lexsort-and-split over the assignment's code matrix (chunked when
     # R1 itself is).
-    partitions: Dict[tuple, List[int]] = partition_by_combo(
-        assignment, r1, executor=executor
-    )
+    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
 
     record_new_key = new_key_recorder(
         r2, catalog, keys_by_combo, new_r2_rows, stats

@@ -114,12 +114,11 @@ def materialize_fk_join(
 ) -> Relation:
     """Build the join view from an already-computed row mapping.
 
-    ``r2_rows[i]`` is the ``R2`` row joined to ``R1`` row ``i``.  This is
-    the executor seam: every join strategy — the sorted-key
-    ``searchsorted`` above, the per-row dict reference, or a SQL backend
-    that computed the mapping with a relational join — materialises its
-    result through this one function, so the output relation is
-    byte-identical whichever engine found the row mapping.
+    ``r2_rows[i]`` is the ``R2`` row joined to ``R1`` row ``i``.  Both
+    join strategies — the sorted-key ``searchsorted`` above and the
+    per-row dict reference — materialise their result through this one
+    function, so the output relation is byte-identical whichever found
+    the row mapping.
     """
     schema = join_view_schema(r1, r2, fk_column, include_fk=True)
     columns = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -31,50 +31,11 @@ __all__ = [
     "Interval",
     "ValueSet",
     "Predicate",
-    "codes_in_sql",
     "condition_from_atom",
     "TRUE_PREDICATE",
 ]
 
 _COMPARISON_OPS = ("==", "!=", "<", ">", "<=", ">=")
-
-
-def _sql_number(value: object) -> Optional[str]:
-    """A SQL literal for a numeric Python value; ``None`` when the value
-    is not a plain number (strings and other objects only ever reach SQL
-    as dictionary codes, never as literals)."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            return None
-        return str(int(value)) if value.is_integer() else repr(value)
-    return None
-
-
-def codes_in_sql(column: str, codes: Sequence[int], total: int) -> str:
-    """A boolean SQL expression testing an int column against a code set.
-
-    ``codes`` is the (ascending) subset of ``range(total)`` the condition
-    accepts.  Contiguous runs compile to ``BETWEEN``, singletons to ``=``,
-    the empty/full sets to constant predicates — exactly the
-    ``BETWEEN``/``IN``/``=`` shapes the paper-workload conditions induce
-    once object columns are dictionary-encoded.
-    """
-    codes = sorted(int(c) for c in codes)
-    if not codes:
-        return "1=0"
-    if len(codes) == total:
-        return "1=1"
-    if len(codes) == 1:
-        return f"{column} = {codes[0]}"
-    if codes[-1] - codes[0] + 1 == len(codes):
-        return f"{column} BETWEEN {codes[0]} AND {codes[-1]}"
-    body = ", ".join(str(c) for c in codes)
-    return f"{column} IN ({body})"
 
 
 class Condition:
@@ -86,39 +47,6 @@ class Condition:
     def mask(self, values: np.ndarray) -> np.ndarray:
         """Vectorised membership test over a column array."""
         raise NotImplementedError
-
-    def to_sql(
-        self,
-        column: str,
-        dictionary: Optional[Sequence[object]] = None,
-    ) -> Optional[str]:
-        """Compile to a boolean SQL expression over an int64 column.
-
-        With ``dictionary`` the column holds dictionary codes (code ``i``
-        stands for ``dictionary[i]``): the condition is evaluated once per
-        dictionary value — the same per-unique evaluation the numpy
-        kernels broadcast through cached codes — and becomes a code-set
-        test.  Without it the column holds raw integers and the condition
-        compiles directly (``BETWEEN``/``IN``/``=``).  Returns ``None``
-        when the condition is not expressible in SQL; callers fall back
-        to the numpy kernels, which is always sound because both
-        executors are output-identical by contract.
-        """
-        if dictionary is not None:
-            try:
-                codes: List[int] = [
-                    i
-                    for i, value in enumerate(dictionary)
-                    if self.matches(value)
-                ]
-            except Exception:  # pragma: no cover - exotic value types
-                return None
-            return codes_in_sql(column, codes, len(dictionary))
-        return self._to_sql_raw(column)
-
-    def _to_sql_raw(self, column: str) -> Optional[str]:
-        """SQL over a raw integer column; ``None`` when inexpressible."""
-        return None
 
     def is_subset_of(self, other: "Condition") -> bool:
         raise NotImplementedError
@@ -173,23 +101,6 @@ class Interval(Condition):
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def _to_sql_raw(self, column: str) -> Optional[str]:
-        lo_finite = self.lo != -math.inf
-        hi_finite = self.hi != math.inf
-        lo = _sql_number(self.lo) if lo_finite else None
-        hi = _sql_number(self.hi) if hi_finite else None
-        if (lo_finite and lo is None) or (hi_finite and hi is None):
-            return None
-        if lo is not None and hi is not None:
-            if self.is_point:
-                return f"{column} = {lo}"
-            return f"{column} BETWEEN {lo} AND {hi}"
-        if lo is not None:
-            return f"{column} >= {lo}"
-        if hi is not None:
-            return f"{column} <= {hi}"
-        return "1=1"
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -231,23 +142,6 @@ class ValueSet(Condition):
         if not common:
             return None
         return ValueSet(common)
-
-    def _to_sql_raw(self, column: str) -> Optional[str]:
-        # Non-numeric members can never equal a raw integer value (the
-        # numpy path's ``np.isin`` likewise never matches them), so they
-        # simply drop out of the literal list.
-        literals = sorted(
-            {
-                lit
-                for lit in (_sql_number(v) for v in self.values)
-                if lit is not None
-            }
-        )
-        if not literals:
-            return "1=0"
-        if len(literals) == 1:
-            return f"{column} = {literals[0]}"
-        return f"{column} IN ({', '.join(literals)})"
 
     def __repr__(self) -> str:
         return "{" + ", ".join(sorted(map(repr, self.values))) + "}"

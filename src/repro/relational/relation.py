@@ -448,18 +448,6 @@ class Relation:
     # Backward-compatible private alias (pre-1.x internal name).
     _column_codes = codes
 
-    def codes_info(self, name: str) -> _CodesInfo:
-        """``(uniques, slice_fn)`` — the streaming half of :meth:`codes`.
-
-        ``slice_fn(start, stop)`` yields that row range's global codes
-        without materialising full-column codes for disk-backed
-        relations.  This is the registration seam of the SQL executor
-        backend: a relation's columns stream into an embedded database
-        chunk-by-chunk as int64 code/value arrays, sharing the exact
-        factorizations (and code order) the numpy kernels use.
-        """
-        return self._codes_info(name)
-
     def _codes_info(self, name: str) -> _CodesInfo:
         """Global uniques plus a per-range code mapper, without holding
         full-column codes (unless they are already cached)."""

@@ -291,30 +291,6 @@ class MmapColumnStore(ColumnStore):
     def column(self, name: str) -> np.ndarray:
         return self.column_slice(name, 0, self._num_rows)
 
-    def raw_mmap(self, name: str) -> np.ndarray:
-        """A read-only memory map of a column's raw int64 payload.
-
-        For ``int`` columns these are the values themselves; for
-        ``dict`` columns the dictionary codes (decode via
-        :meth:`dictionary`).  Because every on-disk column is a genuine
-        ``.npy`` int64 file, the whole column can be exposed to an
-        embedded engine (DuckDB's numpy registration) zero-copy — the
-        OS pages the file in on demand, so registering a column never
-        materialises it in this process's heap.
-        """
-        if name not in self._files:
-            raise SchemaError(f"no column named {name!r}")
-        if self._num_rows == 0:
-            return np.empty(0, dtype=np.int64)
-        out = np.memmap(
-            self._files[name],
-            dtype=_DISK_DTYPE,
-            mode="r",
-            offset=_NPY_PREAMBLE,
-            shape=(self._num_rows,),
-        )
-        return out
-
     def select(self, names: Sequence[str]) -> "ColumnStore":
         missing = [n for n in names if n not in self._files]
         if missing:

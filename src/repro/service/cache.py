@@ -42,8 +42,10 @@ from repro.relational.types import Dtype
 __all__ = ["CachedEdge", "EdgeCache"]
 
 #: Bump when the on-disk entry layout changes; entries written by an
-#: older layout are ignored (a miss), never misread.
-_ENTRY_VERSION = 1
+#: older layout are ignored (a miss), never misread, and the next
+#: :meth:`EdgeCache.put` of their fingerprint replaces them.  Version 2
+#: dropped the per-edge report's ``executor`` field.
+_ENTRY_VERSION = 2
 _META = "meta.json"
 
 
@@ -192,12 +194,13 @@ class EdgeCache:
         self, fingerprint: str, entry: CachedEdge, counter: int
     ) -> None:
         final = self.directory / fingerprint
-        if (final / _META).is_file():
-            return
-        tmp = (
-            self.directory
-            / f".tmp-{fingerprint[:16]}-{os.getpid()}-{counter}"
-        )
+        meta_path = final / _META
+        if meta_path.is_file():
+            existing = json.loads(meta_path.read_text())
+            if existing.get("version") == _ENTRY_VERSION:
+                return
+        suffix = f"{fingerprint[:16]}-{os.getpid()}-{counter}"
+        tmp = self.directory / f".tmp-{suffix}"
         if tmp.exists():
             shutil.rmtree(tmp)
         try:
@@ -224,11 +227,19 @@ class EdgeCache:
                 "report": entry.report,
             }
             (tmp / _META).write_text(json.dumps(meta))
+            # An entry of an older layout version is moved aside, so
+            # the rename below can take its place, and deleted after.
+            stale = self.directory / f".stale-{suffix}"
+            try:
+                final.rename(stale)
+            except FileNotFoundError:
+                pass  # nothing there (or another writer moved it first)
             try:
                 tmp.rename(final)
             except OSError:
                 # Lost a write race: an equivalent entry landed first.
                 shutil.rmtree(tmp, ignore_errors=True)
+            shutil.rmtree(stale, ignore_errors=True)
         except Exception:
             shutil.rmtree(tmp, ignore_errors=True)
             raise

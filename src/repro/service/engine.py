@@ -183,7 +183,6 @@ def _run(
             wall_s=step.report.wall_seconds,
             solve_s=step.report.total_seconds,
             new_parent_tuples=step.phase2.stats.num_new_r2_tuples,
-            executor=step.report.executor,
         )
 
     try:

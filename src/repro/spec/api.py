@@ -63,10 +63,6 @@ class EdgeReport:
     #: edge-result cache instead of solving it; timings then describe
     #: the original (cached) solve.
     cache_hit: bool = False
-    #: The kernel engine that effectively ran this edge's solve
-    #: (``"numpy"``, ``"duckdb"`` or ``"sqlite"``); never affects the
-    #: output, only where the relational kernels executed.
-    executor: str = "numpy"
 
     @property
     def total_seconds(self) -> float:
@@ -85,7 +81,6 @@ class EdgeReport:
             "new_parent_tuples": self.num_new_parent_tuples,
             "conflict_edges": self.num_conflict_edges,
             "partitions": self.num_partitions,
-            "executor": self.executor,
         }
         if self.cache_hit:
             out["cache_hit"] = True
@@ -119,7 +114,6 @@ class EdgeReport:
             "total_overflow": self.total_overflow,
             "solver_overrides": dict(self.solver_overrides),
             "wall_seconds": self.wall_seconds,
-            "executor": self.executor,
         }
         if self.errors is not None:
             out["errors"] = {
@@ -276,7 +270,6 @@ def edge_report(
         total_overflow=step.phase2.stats.total_overflow,
         solver_overrides=dict(constraints.solver_overrides),
         wall_seconds=step.report.wall_seconds,
-        executor=step.report.executor,
     )
 
 

@@ -20,9 +20,8 @@ edge-result cache, in the spirit of PartitionCache's variant caching.
 
 Options that cannot change the output (``workers``, ``storage``,
 ``chunk_rows``, ``storage_dir``, ``memory_budget_mb``, ``evaluate``,
-``parallel_workers``, ``executor``, ``sql_min_rows``, per-edge
-``serialize``) are excluded, so a cache entry survives re-submission
-under a different parallelism, storage or kernel-executor
+``parallel_workers``, per-edge ``serialize``) are excluded, so a cache
+entry survives re-submission under a different parallelism or storage
 configuration.
 """
 
@@ -61,11 +60,10 @@ RESULT_OPTION_FIELDS = (
 )
 
 #: The documented complement: every remaining :class:`SolverConfig`
-#: field, each guaranteed byte-identical-output by the executor/storage
+#: field, each guaranteed byte-identical-output by the traversal/storage
 #: contracts (parallelism by the deterministic traversal, storage by the
-#: columnar backend's layout independence, ``executor``/``sql_min_rows``
-#: by the PR 8 pushdown contract, ``evaluate`` because metrics never
-#: feed back into the solve).  ``repro-lint``'s F-series check enforces
+#: columnar backend's layout independence, ``evaluate`` because metrics
+#: never feed back into the solve).  ``repro-lint``'s F-series check enforces
 #: that the two tuples partition ``SolverConfig`` exactly: a new field
 #: must be added to one of them — deliberately — before CI passes.
 NON_RESULT_OPTION_FIELDS = (
@@ -76,8 +74,6 @@ NON_RESULT_OPTION_FIELDS = (
     "chunk_rows",
     "memory_budget_mb",
     "storage_dir",
-    "executor",
-    "sql_min_rows",
 )
 
 #: Bump when the fingerprint's byte layout changes — persisted cache

@@ -9,7 +9,7 @@ from repro.fuzz import (
 from repro.fuzz.oracle import BASELINE, OracleCell
 from repro.spec.io import load_spec, save_spec
 
-CELLS = [BASELINE, OracleCell("numpy", "mmap", 0)]
+CELLS = [BASELINE, OracleCell("mmap", 0)]
 
 
 class TestPipeline:
@@ -51,7 +51,7 @@ class TestPipeline:
     def test_passing_spec_reports_nothing_to_minimize(self):
         spec = generate_spec(7, "mixed")
         result = minimize_spec(
-            spec, "identical:numpy/mmap/w0", cells=CELLS
+            spec, "identical:mmap/w0", cells=CELLS
         )
         assert not result.reproduced
         assert "no failure to minimize" in result.message

@@ -13,7 +13,7 @@ from repro.fuzz import (
 from repro.fuzz.oracle import BASELINE
 from repro.spec.api import synthesize
 
-CELLS = [BASELINE, OracleCell("numpy", "mmap", 0)]
+CELLS = [BASELINE, OracleCell("mmap", 0)]
 
 
 class TestSampleCells:
@@ -54,7 +54,7 @@ class TestRunOracle:
         spec = generate_spec(1, "mixed")
         report = run_oracle(spec, CELLS, check_faults=False, chaos_on=0)
         assert report.outcome == "divergence"
-        assert report.check == "identical:numpy/mmap/w0"
+        assert report.check == "identical:mmap/w0"
         assert report.failed
 
 

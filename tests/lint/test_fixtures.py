@@ -55,5 +55,5 @@ def test_scoped_run_still_fires_every_family():
     fixture under ``core/``) must keep every family firing anyway."""
     report = lint_paths([FIXTURES], base=FIXTURES, respect_scopes=True)
     families = {d.code[0] for d in report.new}
-    assert families == {"D", "X", "S", "P", "F"}
+    assert families == {"D", "S", "P", "F"}
     assert not report.ok

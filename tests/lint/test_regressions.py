@@ -1,10 +1,10 @@
 """Regressions for the findings repro-lint's first run surfaced.
 
-The tentpole run flagged direct kernel calls outside the executor seam
-(bench/fidelity, bench/outofcore, datagen, core/synthesizer) and
-hash-order-dependent set iteration in Phase II (hypergraph vertex
-discovery, invalid-row conflict accumulation).  These tests pin both
-the behavioral fixes and the now-clean lint status of each module.
+The first lint run flagged modules in bench/, datagen/ and
+core/synthesizer, and hash-order-dependent set iteration in Phase II
+(hypergraph vertex discovery, invalid-row conflict accumulation).
+These tests pin both the behavioral fixes and the now-clean lint status
+of each module.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ def test_hypergraph_vertex_order_is_member_order_independent():
     )
 
 
-def test_executor_dispatched_ground_truth_join_is_byte_identical():
+def test_ground_truth_join_is_byte_identical():
     data = generate_census(CensusConfig(n_households=20, seed=11))
-    via_seam = data.ground_truth_join()
+    truth = data.ground_truth_join()
     direct = fk_join(data.persons, data.housing, "hid")
-    assert via_seam.content_hash() == direct.content_hash()
+    assert truth.content_hash() == direct.content_hash()
 
 
 def test_marginal_tvd_support_order_is_canonical():

@@ -75,5 +75,5 @@ def test_marker_inside_string_does_not_suppress():
 
 
 def test_multiple_codes_in_one_marker():
-    supp = collect_suppressions("x = 1  # repro-lint: disable=D102, X201\n")
-    assert supp.by_line[1] == {"D102", "X201"}
+    supp = collect_suppressions("x = 1  # repro-lint: disable=D102, S301\n")
+    assert supp.by_line[1] == {"D102", "S301"}

@@ -83,6 +83,21 @@ def test_read_csv_store_streams_to_disk(tmp_path, relation):
     assert (tmp_path / "store" / "manifest.json").exists()
 
 
+def test_csv_round_trip_preserves_empty_string(tmp_path):
+    relation = Relation.from_columns(
+        {"name": ["", "a", "", "b", "a"], "age": [0, 10, 0, 20, 10]}
+    )
+    path = tmp_path / "rel.csv"
+    write_csv(relation, path)
+    loaded = read_csv_store(
+        path, relation.schema, chunk_rows=2, directory=tmp_path / "store"
+    )
+    assert np.array_equal(loaded.column("name"), relation.column("name"))
+    assert loaded.group_counts(["name", "age"]) == (
+        relation.group_counts(["name", "age"])
+    )
+
+
 INVALID_INT_LITERALS = ["1_000", " 3", "3 ", "+7", "00", "-0", "٣", "1e3"]
 
 

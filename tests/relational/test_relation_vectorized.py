@@ -11,6 +11,7 @@ import pytest
 from repro.core.metrics import dc_error, dc_error_naive
 from repro.constraints.parser import parse_dc
 from repro.errors import SchemaError
+from repro.phase2 import edges
 from repro.relational.join import fk_join, fk_join_naive
 from repro.relational.ordering import sort_key, tuple_sort_key
 from repro.relational.relation import Relation
@@ -155,12 +156,13 @@ def test_group_counts_empty_names():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 40])
-def test_dc_error_matches_naive(n):
+def test_dc_error_matches_naive(n, monkeypatch):
     rng = np.random.default_rng(n + 99)
     r1_hat = Relation.from_columns(
         {
             "pid": list(range(n)),
             "Age": rng.integers(0, 5, size=n).tolist(),
+            "Inc": rng.integers(0, 7, size=n).tolist(),
             "Rel": [["Owner", "Child"][i] for i in rng.integers(0, 2, size=n)],
             "hid": rng.integers(0, max(n // 3, 1), size=n).tolist(),
         },
@@ -169,8 +171,33 @@ def test_dc_error_matches_naive(n):
     dcs = [
         parse_dc("not(t1.Rel == 'Owner' & t2.Rel == 'Owner')"),
         parse_dc("not(t1.Age < t2.Age - 3)"),
+        # t2-vs-t1 and same-variable binary atoms, with offsets.
+        parse_dc("not(t2.Age > t1.Age + 2 & t1.Inc >= t1.Age + 1)"),
+        parse_dc("not(t2.Inc < t2.Age - 1 & t1.Rel == 'Owner')"),
+        parse_dc(
+            "not(t1.Rel in {'Owner', 'Child'} & t2.Rel in {'Child'} "
+            "& t2.Age > t1.Age)"
+        ),
+        parse_dc(
+            "not(t1.Rel == 'Child' & t2.Rel == 'Child' & t3.Rel == 'Child' "
+            "& t3.Age < t1.Age)"
+        ),
     ]
-    assert dc_error(r1_hat, "hid", dcs) == dc_error_naive(r1_hat, "hid", dcs)
+    # A chunked store whose 3-row chunks split the FK groups, and an
+    # FK made of singleton groups only.
+    chunked = r1_hat.to_store(chunk_rows=3) if n else r1_hat
+    singletons = r1_hat.drop_column("hid").with_column(
+        ColumnSpec("hid", Dtype.INT), list(range(n))
+    )
+    # Pair blocks of 1 and 3 make one FK group span several blocks.
+    for block in (1, 3, edges.PAIR_BLOCK):
+        monkeypatch.setattr(edges, "PAIR_BLOCK", block)
+        for subset in [[dc] for dc in dcs] + [dcs]:
+            expected = dc_error_naive(r1_hat, "hid", subset)
+            assert dc_error(r1_hat, "hid", subset) == expected
+            assert dc_error(chunked, "hid", subset) == expected
+            assert dc_error(singletons, "hid", subset) == 0.0
+    assert dc_error(r1_hat, "hid", []) == 0.0
 
 
 class TestCanonicalOrdering:

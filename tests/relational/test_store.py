@@ -5,7 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.constraints.cc import CardinalityConstraint, count_ccs
+from repro.constraints.dc import BinaryAtom, DenialConstraint, UnaryAtom
+from repro.core.metrics import dc_error, dc_error_naive
 from repro.errors import SchemaError
 from repro.relational import (
     ColumnSpec,
@@ -18,6 +22,7 @@ from repro.relational import (
     Schema,
     StorageOptions,
 )
+from repro.relational.join import fk_join
 from repro.relational.predicate import Interval, Predicate, ValueSet
 
 
@@ -274,3 +279,245 @@ class TestNumpyStoreContract:
         b = NumpyColumnStore({"b": np.arange(6)})
         with pytest.raises(SchemaError):
             CompositeStore({"a": (a, "a"), "b": (b, "b")})
+
+
+# ---------------------------------------------------------------------------
+# RAM vs chunked mmap: every kernel returns identical Python objects —
+# same values, same dict ordering, same error messages.
+# ---------------------------------------------------------------------------
+
+_CATS = ["db", "ai", "os", ""]
+
+_HYPOTHESIS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _child(fks, ages, cats):
+    return Relation(
+        Schema(
+            [
+                ColumnSpec("fk", Dtype.INT),
+                ColumnSpec("age", Dtype.INT),
+                ColumnSpec("cat", Dtype.STR),
+            ]
+        ),
+        {
+            "fk": np.asarray(fks, dtype=np.int64),
+            "age": np.asarray(ages, dtype=np.int64),
+            "cat": np.asarray(cats, dtype=object),
+        },
+    )
+
+
+def _parent(keys, caps):
+    return Relation(
+        Schema([ColumnSpec("id", Dtype.INT), ColumnSpec("cap", Dtype.INT)],
+               key="id"),
+        {
+            "id": np.asarray(keys, dtype=np.int64),
+            "cap": np.asarray(caps, dtype=np.int64),
+        },
+    )
+
+
+@st.composite
+def _child_data(draw):
+    n = draw(st.integers(0, 25))
+    fks = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    ages = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+    cats = draw(st.lists(st.sampled_from(_CATS), min_size=n, max_size=n))
+    return fks, ages, cats
+
+
+class TestKernelEquivalence:
+    @_HYPOTHESIS
+    @given(data=_child_data(), chunk_rows=st.sampled_from([1, 3, 1024]))
+    def test_group_counts_distinct(self, data, chunk_rows):
+        ram = _child(*data)
+        chunked = ram.to_store(chunk_rows=chunk_rows)
+        for names in (["age"], ["cat"], ["age", "cat"], ["fk", "cat"]):
+            # Dict *ordering* is part of the contract too.
+            assert list(ram.group_counts(names).items()) == list(
+                chunked.group_counts(names).items()
+            )
+            assert ram.distinct(names) == chunked.distinct(names)
+
+    @_HYPOTHESIS
+    @given(data=_child_data(), chunk_rows=st.sampled_from([1, 4, 1024]))
+    def test_fk_join(self, data, chunk_rows):
+        ram = _child(*data)
+        chunked = ram.to_store(chunk_rows=chunk_rows)
+        parent = _parent([1, 2, 3, 4, 5], [10, 20, 30, 40, 50])
+        a, b = fk_join(ram, parent, "fk"), fk_join(chunked, parent, "fk")
+        assert a.schema == b.schema and len(a) == len(b)
+        for name in a.schema.names:
+            assert np.array_equal(a.column(name), b.column(name)), name
+
+    @_HYPOTHESIS
+    @given(data=_child_data(), chunk_rows=st.sampled_from([1, 4, 1024]))
+    def test_count_ccs_and_dc_error(self, data, chunk_rows):
+        ram = _child(*data)
+        chunked = ram.to_store(chunk_rows=chunk_rows)
+        ccs = [
+            CardinalityConstraint(Predicate({"age": Interval(10, 40)}), 3),
+            CardinalityConstraint(
+                [
+                    Predicate({"cat": ValueSet(["db", ""])}),
+                    Predicate({"age": Interval(50, 60)}),
+                ],
+                2,
+            ),
+        ]
+        dcs = [
+            DenialConstraint(
+                [
+                    UnaryAtom(0, "cat", "==", "db"),
+                    UnaryAtom(1, "cat", "==", "db"),
+                ]
+            ),
+            DenialConstraint([BinaryAtom(0, "age", "<", 1, "age", -5)]),
+        ]
+        assert count_ccs(ram, ccs) == count_ccs(chunked, ccs)
+        expected = dc_error_naive(ram, "fk", dcs)
+        assert dc_error(ram, "fk", dcs) == expected
+        assert dc_error(chunked, "fk", dcs) == expected
+
+
+class TestFkJoinErrors:
+    """Chunked children raise numpy's exact messages, in row order."""
+
+    def _messages(self, r1, r2):
+        out = []
+        for child in (r1, r1.to_store(chunk_rows=1)):
+            with pytest.raises(SchemaError) as excinfo:
+                fk_join(child, r2, "fk")
+            out.append(str(excinfo.value))
+        assert out[0] == out[1]
+        return out[0]
+
+    def test_duplicate_key_message(self):
+        r1 = _child([1, 2], [10, 20], ["db", "ai"])
+        message = self._messages(r1, _parent([2, 1, 2, 3], [1, 2, 3, 4]))
+        assert "duplicate key value 2" in message
+
+    def test_duplicate_beats_missing_on_empty_child(self):
+        message = self._messages(_child([], [], []), _parent([1, 1], [1, 2]))
+        assert "duplicate key value 1" in message
+
+    def test_missing_key_message_first_row_order(self):
+        # Both 9 and 7 are missing; the first missing *by child row
+        # order* (9) is reported, not the smallest value.
+        r1 = _child([9, 7, 1], [10, 20, 30], ["db", "ai", "os"])
+        message = self._messages(r1, _parent([1, 2], [1, 2]))
+        assert "9" in message and "7" not in message
+
+
+class TestCornerCases:
+    def test_empty_relation(self):
+        ram = _child([], [], [])
+        cc = CardinalityConstraint(Predicate({"age": Interval(0, 9)}), 1)
+        for rel in (ram, ram.to_store(chunk_rows=4)):
+            assert rel.group_counts(["age", "cat"]) == {}
+            assert rel.distinct(["cat"]) == []
+            assert count_ccs(rel, [cc]) == [0]
+            assert dc_error(rel, "fk", []) == 0.0
+
+    def test_scalar_types_match(self):
+        # Keys must be plain Python scalars on every backend (np.int64
+        # keys would break dict lookups downstream).
+        ram = _child([1, 1, 2], [10, 10, 20], ["db", "db", ""])
+        for rel in (ram, ram.to_store(chunk_rows=2)):
+            for key in rel.group_counts(["age", "cat"]):
+                assert type(key[0]) is int
+                assert type(key[1]) is str
+
+
+def test_group_by_combo_partitions():
+    """Phase II's partitioner agrees on a real Phase-I assignment for an
+    in-RAM and a chunked child relation (combo decoding included)."""
+    from repro.phase1.hybrid import run_phase1
+    from repro.phase2.fk_assignment import partition_by_combo
+
+    r1 = Relation(
+        Schema(
+            [
+                ColumnSpec("pid", Dtype.INT),
+                ColumnSpec("age", Dtype.INT),
+                ColumnSpec("cat", Dtype.STR),
+            ],
+            key="pid",
+        ),
+        {
+            "pid": np.arange(8, dtype=np.int64),
+            "age": np.asarray(
+                [25, 30, 25, 41, 30, 25, 60, 41], dtype=np.int64
+            ),
+            "cat": np.asarray(
+                ["db", "ai", "db", "", "ai", "os", "db", ""], dtype=object
+            ),
+        },
+    )
+    ccs = [CardinalityConstraint(Predicate({"age": Interval(20, 35)}), 4)]
+    phase1 = run_phase1(r1, _parent([1, 2, 3], [5, 5, 5]), ccs,
+                        r1_attrs=["age", "cat"])
+    base = partition_by_combo(phase1.assignment, r1)
+    assert base == phase1.assignment.group_by_combo()
+    for combo in base:
+        assert all(type(v) is int for v in combo if isinstance(v, int))
+    chunked = partition_by_combo(phase1.assignment, r1.to_store(chunk_rows=3))
+    assert list(chunked.items()) == list(base.items())
+
+
+class TestEmptyStringSemantics:
+    """``""`` is an ordinary category on every backend: its own group,
+    never conflated with ``0`` or any other falsy value."""
+
+    def _relations(self):
+        ram = Relation(
+            Schema(
+                [
+                    ColumnSpec("fk", Dtype.INT),
+                    ColumnSpec("name", Dtype.STR),
+                    ColumnSpec("age", Dtype.INT),
+                ]
+            ),
+            {
+                "fk": np.asarray([1, 2, 1, 2, 1], dtype=np.int64),
+                "name": np.asarray(["", "a", "", "b", "a"], dtype=object),
+                "age": np.asarray([0, 10, 0, 20, 10], dtype=np.int64),
+            },
+        )
+        return ram, ram.to_store(chunk_rows=2)
+
+    def test_group_counts_keep_empty_string_distinct(self):
+        for rel in self._relations():
+            counts = rel.group_counts(["name"])
+            assert counts == {("",): 2, ("a",): 2, ("b",): 1}
+            assert all(type(key[0]) is str for key in counts)
+            assert ("",) in rel.distinct(["name"])
+
+    def test_empty_string_never_collides_with_zero(self):
+        for rel in self._relations():
+            counts = rel.group_counts(["name", "age"])
+            assert counts == {("", 0): 2, ("a", 10): 2, ("b", 20): 1}
+
+    def test_value_set_matches_empty_string_only(self):
+        cc = CardinalityConstraint(Predicate({"name": ValueSet([""])}), 2)
+        for rel in self._relations():
+            assert count_ccs(rel, [cc]) == [2]
+
+    def test_unary_dc_on_empty_string(self):
+        dcs = [
+            DenialConstraint(
+                [
+                    UnaryAtom(0, "name", "==", ""),
+                    UnaryAtom(1, "name", "==", ""),
+                ]
+            )
+        ]
+        for rel in self._relations():
+            # Rows 0 and 2 share fk=1 and both have name="".
+            assert dc_error(rel, "fk", dcs) == 2 / 5

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
 from repro.relational.types import CatDomain, Dtype
-from repro.service.cache import EdgeCache
+from repro.service.cache import _ENTRY_VERSION, EdgeCache
+from repro.spec.api import EdgeReport
 
 
 @pytest.fixture
@@ -103,5 +106,41 @@ def test_unknown_version_is_a_miss(tmp_path, fk_spec, parent):
     cache = EdgeCache(tmp_path / "c")
     cache.put("fp1", fk_spec, FK_VALUES, parent, REPORT)
     meta = tmp_path / "c" / "fp1" / "meta.json"
-    meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
+    meta.write_text(
+        meta.read_text().replace(
+            f'"version": {_ENTRY_VERSION}', '"version": 99'
+        )
+    )
     assert EdgeCache(tmp_path / "c").get("fp1") is None
+
+
+def test_stale_version_entry_is_replaced(tmp_path, fk_spec, parent):
+    # A version-1 entry whose report still carries the dropped
+    # ``executor`` field: it must miss, and the next put must replace it
+    # (its fingerprint is unchanged, so skipping the write would make
+    # that edge miss in every later process).
+    report = {
+        "child": "persons", "column": "hid", "parent": "housing",
+        "strategy": "coloring", "num_ccs": 0, "num_dcs": 0,
+        "phase1_seconds": 0.1, "phase2_seconds": 0.2,
+        "num_new_parent_tuples": 0, "num_conflict_edges": 0,
+        "num_partitions": 1, "total_overflow": 0, "solver_overrides": {},
+        "wall_seconds": 0.3,
+    }
+    EdgeCache(tmp_path / "c").put("fp1", fk_spec, FK_VALUES, parent, report)
+    meta_path = tmp_path / "c" / "fp1" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["version"] = 1
+    meta["report"]["executor"] = "numpy"
+    meta_path.write_text(json.dumps(meta))
+
+    second = EdgeCache(tmp_path / "c")
+    assert second.get("fp1") is None
+    assert second.put("fp1", fk_spec, FK_VALUES, parent, report)
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["fp1"]
+
+    third = EdgeCache(tmp_path / "c")
+    entry = third.get("fp1")
+    assert entry is not None and third.stats()["hits"] == 1
+    assert entry.report == report
+    EdgeReport.from_payload(entry.report, cache_hit=True)

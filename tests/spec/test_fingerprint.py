@@ -201,18 +201,7 @@ class TestResultOptions:
             "chunk_rows",
             "memory_budget_mb",
             "storage_dir",
-            "executor",
-            "sql_min_rows",
         }
-
-    def test_executor_does_not_dirty_fingerprints(self):
-        # The SQL executors are byte-identical to numpy by contract, so
-        # switching engines must reuse cached edges.
-        base = edge_fingerprints(build_spec())
-        changed = edge_fingerprints(
-            build_spec(major_solver={"executor": "sqlite", "sql_min_rows": 2})
-        )
-        assert changed == base
 
     def test_result_options_filters(self):
         config = SolverConfig(backend="native", workers=4)
