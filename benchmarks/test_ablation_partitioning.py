@@ -27,15 +27,20 @@ def test_ablation_partitioned_vs_global(benchmark):
 
     print(
         f"\nAblation coloring (scale {SCALE}x):\n"
-        f"  partitioned coloring {partitioned.coloring_seconds:.3f}s\n"
-        f"  global      coloring {global_.coloring_seconds:.3f}s"
+        f"  partitioned coloring {partitioned.coloring_seconds:.3f}s "
+        f"({partitioned.conflict_edges} edges, "
+        f"{partitioned.partitions} partitions)\n"
+        f"  global      coloring {global_.coloring_seconds:.3f}s "
+        f"({global_.conflict_edges} edges)"
     )
 
     assert partitioned.dc_error == 0.0
     assert global_.dc_error == 0.0
     # The global graph includes every cross-partition (dashed) edge, so
-    # it can only be slower or equal at best.
-    assert global_.coloring_seconds >= 0.5 * partitioned.coloring_seconds
+    # the partitioned run dominates on edges.  Edge counts are exact;
+    # the timings above are only reported.
+    assert global_.partitions == 1
+    assert global_.conflict_edges > partitioned.conflict_edges
 
     benchmark.pedantic(
         lambda: run_hybrid(data, ccs, dcs), rounds=1, iterations=1

@@ -38,6 +38,9 @@ class ExperimentRow:
     ilp_seconds: float = 0.0
     coloring_seconds: float = 0.0
     new_r2_tuples: int = 0
+    #: Phase II work counts (deterministic, unlike the timings).
+    conflict_edges: int = 0
+    partitions: int = 0
     per_cc_errors: List[float] = field(default_factory=list)
 
     @property
@@ -110,6 +113,8 @@ def run_hybrid(
         ilp_seconds=p1.ilp_seconds,
         coloring_seconds=p2.edge_seconds + p2.coloring_seconds,
         new_r2_tuples=p2.num_new_r2_tuples,
+        conflict_edges=p2.num_edges,
+        partitions=p2.num_partitions,
         per_cc_errors=list(errors.per_cc),
     )
 

@@ -21,8 +21,6 @@ class SolverConfig:
     * ``force_ilp`` — send every CC to Algorithm 1 (ablation / baselines).
     * ``partitioned_coloring`` — the Section 5.2 partition optimization;
       ``False`` builds one global conflict graph (ablation).
-    * ``parallel_workers`` — color partitions on a process pool of this
-      size (Appendix A.3); ``0`` keeps everything in-process.
     * ``workers`` — solve conflict-free snowflake FK edges of one BFS
       layer on a process pool of this size; ``0``/``1`` keeps the
       traversal sequential.  Output is byte-identical either way.
@@ -48,7 +46,6 @@ class SolverConfig:
     soft_ccs: bool = True
     force_ilp: bool = False
     partitioned_coloring: bool = True
-    parallel_workers: int = 0
     workers: int = 0
     evaluate: bool = True
     time_limit: Optional[float] = None
@@ -69,8 +66,6 @@ class SolverConfig:
             raise ValueError("memory_budget_mb must be positive (or None)")
         if self.marginals not in ("all", "relevant", "none"):
             raise ValueError(f"unknown marginals mode {self.marginals!r}")
-        if self.parallel_workers < 0:
-            raise ValueError("parallel_workers must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.time_limit is not None and self.time_limit <= 0:

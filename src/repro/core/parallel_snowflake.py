@@ -2,18 +2,16 @@
 
 The snowflake traversal (Section 5.2) walks FK edges breadth-first, but
 edges in one BFS layer whose read/write relation sets are disjoint are
-independent subproblems — the same per-partition independence Appendix
-A.3 exploits for parallel coloring.  This module provides the process-
-pool leg of that scheduler:
+independent subproblems.  This module provides the process-pool leg of
+that scheduler:
 
 * :func:`solve_edge` — the single-edge solve both the sequential and the
   parallel paths share (per-edge strategy + solver overrides applied);
 * :func:`edge_payload` / :func:`solve_edge_payload` — the worker
-  protocol.  Following :mod:`repro.phase2.parallel`, a payload ships
-  only the column arrays and schemas of the two relations the edge's
-  solve touches (its extended view and its parent), never the
-  :class:`~repro.relational.database.Database`; the worker rebuilds the
-  relations losslessly and returns the full
+  protocol.  A payload ships only the column arrays and schemas of the
+  two relations the edge's solve touches (its extended view and its
+  parent), never the :class:`~repro.relational.database.Database`; the
+  worker rebuilds the relations losslessly and returns the full
   :class:`~repro.core.synthesizer.CExtensionResult`;
 * :func:`solve_batch` — fan a conflict-free batch out on an executor and
   return results in batch (= BFS) order, so the caller's merge is
@@ -132,10 +130,11 @@ def edge_payload(
 def solve_edge_payload(payload: EdgePayload) -> CExtensionResult:
     """Worker entry point: rebuild the relations and solve the edge.
 
-    Relations are reconstructed with their *declared* schemas (never
-    re-inferred from the shipped arrays — see the dtype-flip caveat in
-    :mod:`repro.phase2.parallel`), so the worker's solve is input-
-    identical to the in-process solve of the same edge.
+    Relations are reconstructed with their *declared* schemas, never
+    re-inferred from the shipped arrays (a categorical column whose
+    values happen to be all integers would flip to ``INT`` and change
+    DC evaluation), so the worker's solve is input-identical to the
+    in-process solve of the same edge.
     """
     (
         ext_schema,

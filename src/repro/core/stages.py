@@ -102,5 +102,4 @@ def _coloring_strategy(
         fk_column,
         ccs=ccs,
         partitioned=config.partitioned_coloring,
-        parallel_workers=config.parallel_workers,
     )

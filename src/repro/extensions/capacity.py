@@ -78,20 +78,9 @@ def capacity_coloring(
     for color in coloring.values():
         usage.setdefault(color, 0)
 
-    order = sorted(
-        (v for v in graph.vertices if v not in coloring),
-        key=lambda v: (-graph.degree(v), v),
-    )
     skipped: List[int] = []
-    for v in order:
-        forbidden = set()
-        for edge in graph.incident_edges(v):
-            others = [u for u in edge if u != v]
-            colors = {coloring.get(u) for u in others}
-            if len(colors) == 1:
-                (only,) = colors
-                if only is not None:
-                    forbidden.add(only)
+    for v in graph.order(coloring):
+        forbidden = graph.forbidden(v, coloring)
         chosen = next(
             (
                 c

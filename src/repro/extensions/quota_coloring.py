@@ -47,6 +47,7 @@ from repro.errors import ColoringError, ReproError
 from repro.extensions.capacity import capacity_coloring
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
+from repro.phase2.coloring import coloring_lf
 from repro.phase2.edges import build_conflict_graph
 from repro.phase2.fk_assignment import (
     FreshKeyFactory,
@@ -54,7 +55,6 @@ from repro.phase2.fk_assignment import (
     Phase2Result,
     Phase2Stats,
     assign_invalid_fresh,
-    color_partition,
     color_skipped_with_fresh,
     new_key_recorder,
     partition_by_combo,
@@ -137,13 +137,12 @@ def quota_coloring_phase2(
 ) -> Phase2Result:
     """The ``"quota_coloring"`` Phase-II strategy.
 
-    Partitions are always colored sequentially per combo (quotas are
-    per-combo state, so the ``partitioned_coloring``/``parallel_workers``
-    ablation knobs do not apply).  With no quotas configured at all the
-    output is identical to the ``"coloring"`` strategy, invalid-tuple
-    handling included; with quotas, invalid tuples take the conservative
-    fresh-key escape hatch (one key per row, which can never breach a
-    quota).
+    Partitions are always colored per combo (quotas are per-combo
+    state, so the ``partitioned_coloring`` ablation knob does not
+    apply).  With no quotas configured at all the output is identical
+    to the ``"coloring"`` strategy, invalid-tuple handling included;
+    with quotas, invalid tuples take the conservative fresh-key escape
+    hatch (one key per row, which can never breach a quota).
     """
     options = dict(options or {})
     quotas, default_quota = _validated_quotas(options)
@@ -195,11 +194,17 @@ def quota_coloring_phase2(
         started = time.perf_counter()
         if quota is None:
             # Unlimited partition: the paper's plain Algorithm 3/4 pass.
-            part_coloring, used_fresh = color_partition(
-                graph, candidates, pool, stats
+            part_coloring, skipped = coloring_lf(graph, {}, candidates)
+            stats.num_skipped += len(skipped)
+            part_coloring = color_skipped_with_fresh(
+                len(rows),
+                part_coloring,
+                skipped,
+                pool,
+                combo,
+                record_new_key,
+                lambda fresh, col, graph=graph: coloring_lf(graph, col, fresh),
             )
-            for key in used_fresh:
-                record_new_key(key, combo)
         else:
             usage: Dict[object, int] = {}
             part_coloring, skipped = capacity_coloring(

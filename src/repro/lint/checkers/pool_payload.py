@@ -1,13 +1,13 @@
 """P-series: only picklable module-level callables ship to the pool.
 
-The parallel snowflake scheduler and Appendix A.3's parallel coloring
-both fan work out on a ``ProcessPoolExecutor``.  Its payloads cross a
-process boundary by pickling — and pickle serializes functions *by
-qualified name*: a lambda or a function defined inside another function
-either fails to pickle outright or, worse, drags closed-over live state
-(stores, solvers, open handles) into the child.  The repo's discipline
-(``solve_edge_payload``, ``_color_one``) is module-level functions over
-explicitly-built payload tuples; this checker pins it.
+The parallel snowflake scheduler fans work out on a
+``ProcessPoolExecutor``.  Its payloads cross a process boundary by
+pickling — and pickle serializes functions *by qualified name*: a lambda
+or a function defined inside another function either fails to pickle
+outright or, worse, drags closed-over live state (stores, solvers, open
+handles) into the child.  The repo's discipline (``solve_edge_payload``)
+is module-level functions over explicitly-built payload tuples; this
+checker pins it.
 
 * **P401** — a ``lambda`` submitted to a process pool.
 * **P402** — a locally-defined (nested) function submitted to a process

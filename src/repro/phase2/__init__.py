@@ -2,7 +2,6 @@
 
 from repro.phase2.coloring import coloring_lf
 from repro.phase2.edges import (
-    add_dc_edges,
     build_conflict_graph,
     conflicting_pairs,
 )
@@ -14,16 +13,13 @@ from repro.phase2.fk_assignment import (
 )
 from repro.phase2.hypergraph import ConflictHypergraph
 from repro.phase2.invalid import solve_invalid_tuples
-from repro.phase2.parallel import color_partitions_parallel
 
 __all__ = [
     "ConflictHypergraph",
     "FreshKeyFactory",
     "Phase2Result",
     "Phase2Stats",
-    "add_dc_edges",
     "build_conflict_graph",
-    "color_partitions_parallel",
     "coloring_lf",
     "conflicting_pairs",
     "run_phase2",

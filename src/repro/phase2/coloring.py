@@ -30,20 +30,9 @@ def coloring_lf(
     ``candidate_lists`` optionally overrides the shared candidate list per
     vertex (used by ``solveInvalidTuples``, where lists differ per tuple).
     """
-    order = sorted(
-        (v for v in graph.vertices if v not in coloring),
-        key=lambda v: (-graph.degree(v), v),
-    )
     skipped: List[int] = []
-    for v in order:
-        forbidden = set()
-        for edge in graph.incident_edges(v):
-            others = [u for u in edge if u != v]
-            colors = {coloring.get(u) for u in others}
-            if len(colors) == 1:
-                (only,) = colors
-                if only is not None:
-                    forbidden.add(only)
+    for v in graph.order(coloring):
+        forbidden = graph.forbidden(v, coloring)
         pool = candidates
         if candidate_lists is not None and v in candidate_lists:
             pool = candidate_lists[v]

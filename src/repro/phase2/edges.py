@@ -28,7 +28,6 @@ from repro.phase2.hypergraph import ConflictHypergraph
 from repro.relational.relation import Relation
 
 __all__ = [
-    "add_dc_edges",
     "build_conflict_graph",
     "conflicting_pairs",
     "violating_rows",
@@ -91,83 +90,79 @@ def _binary_mask(
     return mask
 
 
+def _violating_pairs(
+    relation: Relation,
+    dc: DenialConstraint,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` where ``(t1, t2) = (rows_a[i], rows_b[j])``
+    are distinct rows satisfying every atom of the binary ``dc``.
+
+    Only the rows passing each role's unary atoms enter the broadcast
+    grid of :func:`_binary_mask`.
+    """
+    a = np.flatnonzero(_unary_mask(relation, rows_a, dc.unary_atoms(0)))
+    b = np.flatnonzero(_unary_mask(relation, rows_b, dc.unary_atoms(1)))
+    t1, t2 = rows_a[a, None], rows_b[None, b]
+    grid = _binary_mask(relation, t1, t2, dc.binary_atoms) & (t1 != t2)
+    i, j = np.nonzero(grid)
+    return a[i], b[j]
+
+
+def _pack(u: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
+    """Each unordered pair as one int64 code ``min * base + max``."""
+    return np.minimum(u, v) * base + np.maximum(u, v)
+
+
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 array as one sort plus a neighbour
+    mask, which beats ``np.unique``'s hash-based path on these codes."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def conflicting_pairs(
     relation: Relation,
     dc: DenialConstraint,
     rows_a: np.ndarray,
     rows_b: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, int]]:
-    """All unordered row pairs (one from each set) that violate a binary DC.
+    """All unordered row pairs (one from each set) that violate a binary DC,
+    sorted, as ``(u, v)`` with ``u < v``.
 
     ``rows_b`` defaults to ``rows_a`` (within-partition enumeration); when
     distinct it enables the cross enumeration ``solveInvalidTuples`` needs.
     """
     if dc.arity != 2:
         raise ValueError("conflicting_pairs only handles binary DCs")
-    if rows_b is None:
-        rows_b = rows_a
-
-    mask_a0 = _unary_mask(relation, rows_a, dc.unary_atoms(0))
-    mask_b1 = _unary_mask(relation, rows_b, dc.unary_atoms(1))
-    cand_a = rows_a[mask_a0]
-    cand_b = rows_b[mask_b1]
-    if len(cand_a) == 0 or len(cand_b) == 0:
-        return []
-    grid = _binary_mask(
-        relation, cand_a[:, None], cand_b[None, :], dc.binary_atoms
-    )
-    # Exclude the degenerate pairing of a row with itself.
-    same = cand_a[:, None] == cand_b[None, :]
-    grid &= ~same
-    a_idx, b_idx = np.nonzero(grid)
-    pairs = set()
-    for i, j in zip(a_idx, b_idx):
-        u, v = int(cand_a[i]), int(cand_b[j])
-        pairs.add((u, v) if u < v else (v, u))
-    return sorted(pairs)
+    rows_a = np.asarray(rows_a, dtype=np.int64)
+    rows_b = rows_a if rows_b is None else np.asarray(rows_b, np.int64)
+    i, j = _violating_pairs(relation, dc, rows_a, rows_b)
+    base = len(relation)
+    codes = _sorted_unique(_pack(rows_a[i], rows_b[j], base))
+    return list(zip((codes // base).tolist(), (codes % base).tolist()))
 
 
 def _kary_edges(
     relation: Relation,
     dc: DenialConstraint,
     rows: np.ndarray,
-) -> List[frozenset]:
-    """Pruned combinatorial scan for DCs of arity ≥ 3."""
-    var_candidates = []
+) -> List[Tuple[int, ...]]:
+    """Pruned combinatorial scan for DCs of arity ≥ 3 (ascending tuples)."""
+    union: Set[int] = set()
     for var in range(dc.arity):
         mask = _unary_mask(relation, rows, dc.unary_atoms(var))
-        var_candidates.append([int(r) for r in rows[mask]])
-    union: Set[int] = set()
-    for candidates in var_candidates:
-        union.update(candidates)
+        union.update(rows[mask].tolist())
     union_rows = sorted(union)
     row_cache = {r: relation.row(r) for r in union_rows}
-
-    edges: Set[frozenset] = set()
-    for combo in itertools.combinations(union_rows, dc.arity):
-        if dc.violates([row_cache[r] for r in combo]):
-            edges.add(frozenset(combo))
-    return sorted(edges, key=sorted)
-
-
-def add_dc_edges(
-    graph: ConflictHypergraph,
-    relation: Relation,
-    dcs: Sequence[DenialConstraint],
-    rows: np.ndarray,
-) -> int:
-    """Add all conflict edges among ``rows`` for every DC; returns count."""
-    added = 0
-    for dc in dcs:
-        if dc.arity == 2:
-            for pair in conflicting_pairs(relation, dc, rows):
-                if graph.add_edge(pair):
-                    added += 1
-        else:
-            for edge in _kary_edges(relation, dc, rows):
-                if graph.add_edge(edge):
-                    added += 1
-    return added
+    return [
+        combo
+        for combo in itertools.combinations(union_rows, dc.arity)
+        if dc.violates([row_cache[r] for r in combo])
+    ]
 
 
 def build_conflict_graph(
@@ -175,11 +170,23 @@ def build_conflict_graph(
     dcs: Sequence[DenialConstraint],
     rows: Iterable[int],
 ) -> ConflictHypergraph:
-    """The conflict hypergraph of one partition (Definition 5.1)."""
-    rows = np.asarray(sorted(rows), dtype=np.int64)
-    graph = ConflictHypergraph.over(int(r) for r in rows)
-    add_dc_edges(graph, relation, dcs, rows)
-    return graph
+    """The conflict hypergraph of one partition (Definition 5.1).
+
+    Every binary DC's violating pairs are packed into int64 codes over
+    vertex positions and deduplicated across DCs in one pass; DCs of
+    arity ≥ 3 contribute hyperedges.
+    """
+    rows = _sorted_unique(np.fromiter(rows, dtype=np.int64))
+    n = len(rows)
+    codes = [np.empty(0, dtype=np.int64)]
+    hyperedges: Set[Tuple[int, ...]] = set()
+    for dc in dcs:
+        if dc.arity == 2:
+            codes.append(_pack(*_violating_pairs(relation, dc, rows, rows), n))
+        else:
+            hyperedges.update(_kary_edges(relation, dc, rows))
+    lo, hi = np.divmod(_sorted_unique(np.concatenate(codes)), max(n, 1))
+    return ConflictHypergraph(rows, lo, hi, sorted(hyperedges))
 
 
 def _in_memory(relation: Relation, names: Iterable[str]) -> Relation:

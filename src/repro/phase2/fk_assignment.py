@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
 from repro.phase2.coloring import coloring_lf
 from repro.phase2.edges import build_conflict_graph
-from repro.phase2.hypergraph import ConflictHypergraph
 from repro.phase2.invalid import solve_invalid_tuples
 from repro.relational.ordering import sort_key, tuple_sort_key
 from repro.relational.relation import Relation
@@ -39,7 +38,6 @@ __all__ = [
     "run_phase2",
     "FreshKeyFactory",
     "MintPool",
-    "color_partition",
     "color_skipped_with_fresh",
     "assign_invalid_fresh",
     "new_key_recorder",
@@ -183,30 +181,6 @@ def new_key_recorder(
     return record_new_key
 
 
-def color_partition(
-    graph: ConflictHypergraph,
-    candidates: List[object],
-    pool: MintPool,
-    stats: Phase2Stats,
-) -> Tuple[Dict[int, object], List[object]]:
-    """Color one partition; returns (coloring, fresh keys actually used)."""
-    coloring: Dict[int, object] = {}
-    coloring, skipped = coloring_lf(graph, coloring, candidates)
-    stats.num_skipped += len(skipped)
-    used_fresh: List[object] = []
-    guard = 0
-    while skipped:
-        guard += 1
-        if guard > graph.num_vertices + 1:
-            raise ColoringError("fresh-color loop failed to make progress")
-        fresh = pool.take(len(skipped))
-        coloring, skipped = coloring_lf(graph, coloring, fresh)
-        used = set(coloring.values()) & set(fresh)
-        used_fresh.extend(k for k in fresh if k in used)
-        pool.release([k for k in fresh if k not in used])
-    return coloring, used_fresh
-
-
 def color_skipped_with_fresh(
     num_rows: int,
     coloring: Dict[int, object],
@@ -281,17 +255,12 @@ def run_phase2(
     fk_column: str,
     ccs: Sequence[CardinalityConstraint] = (),
     partitioned: bool = True,
-    parallel_workers: int = 0,
 ) -> Phase2Result:
     """Complete ``R1.FK`` so every DC holds; possibly grow ``R2``.
 
     ``partitioned=False`` builds a single global conflict graph with
     per-vertex candidate lists (the ablation of the Section 5.2
     optimization) — correct but quadratic in ``|R1|``.
-
-    ``parallel_workers > 0`` colors the partitions on a process pool
-    (Appendix A.3); fresh keys for skipped vertices are still minted by
-    this process, which keeps key uniqueness single-owner.
     """
     stats = Phase2Stats()
     key_column = r2.schema.key
@@ -313,38 +282,7 @@ def run_phase2(
         r2, catalog, keys_by_combo, new_r2_rows, stats
     )
 
-    if partitioned and parallel_workers > 0:
-        from repro.phase2.parallel import color_partitions_parallel
-
-        started = time.perf_counter()
-        coloring, skipped_by_combo, num_edges = color_partitions_parallel(
-            r1, dcs, partitions, keys_by_combo, max_workers=parallel_workers
-        )
-        stats.num_edges = num_edges
-        stats.num_partitions = len(partitions)
-        # Finish skipped vertices sequentially: fresh keys are minted here.
-        for combo, skipped_rows in sorted(
-            skipped_by_combo.items(), key=lambda kv: tuple_sort_key(kv[0])
-        ):
-            stats.num_skipped += len(skipped_rows)
-            graph = build_conflict_graph(r1, dcs, partitions[combo])
-            remaining = list(skipped_rows)
-            guard = 0
-            while remaining:
-                guard += 1
-                if guard > len(partitions[combo]) + 1:
-                    raise ColoringError(
-                        "fresh-color loop failed to make progress"
-                    )
-                fresh = pool.take(len(remaining))
-                coloring, remaining = coloring_lf(graph, coloring, fresh)
-                used = set(coloring.values()) & set(fresh)
-                for key in fresh:
-                    if key in used:
-                        record_new_key(key, combo)
-                pool.release([k for k in fresh if k not in used])
-        stats.coloring_seconds = time.perf_counter() - started
-    elif partitioned:
+    if partitioned:
         for combo in sorted(partitions.keys(), key=tuple_sort_key):
             rows = partitions[combo]
             candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
@@ -370,12 +308,18 @@ def run_phase2(
             stats.num_partitions += 1
 
             started = time.perf_counter()
-            part_coloring, used_fresh = color_partition(
-                graph, candidates, pool, stats
+            part_coloring, skipped = coloring_lf(graph, {}, candidates)
+            stats.num_skipped += len(skipped)
+            part_coloring = color_skipped_with_fresh(
+                len(rows),
+                part_coloring,
+                skipped,
+                pool,
+                combo,
+                record_new_key,
+                lambda fresh, col, graph=graph: coloring_lf(graph, col, fresh),
             )
             stats.coloring_seconds += time.perf_counter() - started
-            for key in used_fresh:
-                record_new_key(key, combo)
             coloring.update(part_coloring)
     else:
         combo_of_row = {

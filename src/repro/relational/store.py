@@ -23,7 +23,7 @@ disk-backed relation stay O(1) instead of rewriting gigabytes.
 
 All stores are picklable: the mmap store ships only its directory path
 across process boundaries (the worker re-reads the manifest), matching
-the payload-slicing pattern of :mod:`repro.phase2.parallel`.
+the payload-slicing pattern of :mod:`repro.core.parallel_snowflake`.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ edge-result cache, in the spirit of PartitionCache's variant caching.
 
 Options that cannot change the output (``workers``, ``storage``,
 ``chunk_rows``, ``storage_dir``, ``memory_budget_mb``, ``evaluate``,
-``parallel_workers``, per-edge ``serialize``) are excluded, so a cache
-entry survives re-submission under a different parallelism or storage
-configuration.
+per-edge ``serialize``) are excluded, so a cache entry survives
+re-submission under a different parallelism or storage configuration.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ RESULT_OPTION_FIELDS = (
 #: must be added to one of them — deliberately — before CI passes.
 NON_RESULT_OPTION_FIELDS = (
     "workers",
-    "parallel_workers",
     "evaluate",
     "storage",
     "chunk_rows",

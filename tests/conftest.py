@@ -1,11 +1,14 @@
-"""Shared fixtures: the paper's running example and a small census dataset."""
+"""Shared fixtures: the paper's running example, a small census dataset
+and conflict graphs with hand-picked edges."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Relation, parse_cc, parse_dc
+from repro.constraints.dc import DenialConstraint, UnaryAtom
 from repro.datagen import CensusConfig, all_dcs, cc_family, generate_census
+from repro.phase2.edges import build_conflict_graph
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +90,31 @@ def census_bad_ccs(census_small):
 @pytest.fixture(scope="session")
 def census_all_dcs():
     return all_dcs()
+
+
+def _graph_from_edges(edges, vertices=()):
+    """The conflict graph over ``vertices`` plus every edge member, built
+    by :func:`build_conflict_graph` with one DC per edge: row ``r`` has
+    ``id == r``, and the DC for edge ``(a, b, ...)`` pins ``t1.id == a``,
+    ``t2.id == b``, ...  Repeated members and repeated edges therefore
+    go through the production dedup rules."""
+    edges = [tuple(edge) for edge in edges]
+    rows = set(vertices).union(*edges)
+    relation = Relation.from_columns(
+        {"id": list(range(max(rows, default=-1) + 1))}
+    )
+    dcs = [
+        DenialConstraint(
+            [UnaryAtom(var, "id", "==", v) for var, v in enumerate(edge)]
+        )
+        for edge in edges
+        if len(edge) >= 2
+    ]
+    return build_conflict_graph(relation, dcs, sorted(rows))
+
+
+@pytest.fixture(scope="session")
+def graph_from_edges():
+    """``graph_from_edges(edges, vertices=())`` — see
+    :func:`_graph_from_edges`."""
+    return _graph_from_edges

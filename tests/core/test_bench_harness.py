@@ -66,26 +66,3 @@ class TestReporting:
         assert sum(
             v for k, v in histogram.items() if k != "exact=0"
         ) == 5
-
-
-class TestParallelConfig:
-    def test_parallel_workers_rejects_negative(self):
-        from repro.core.config import SolverConfig
-
-        with pytest.raises(ValueError):
-            SolverConfig(parallel_workers=-1)
-
-    def test_parallel_solve_matches_sequential_guarantees(
-        self, census_small, census_good_ccs
-    ):
-        from repro import CExtensionSolver, SolverConfig
-
-        result = CExtensionSolver(SolverConfig(parallel_workers=2)).solve(
-            census_small.persons_masked,
-            census_small.housing,
-            fk_column="hid",
-            ccs=census_good_ccs,
-            dcs=good_dcs(),
-        )
-        assert result.report.errors.dc_error == 0.0
-        assert result.report.errors.max_cc_error == 0.0

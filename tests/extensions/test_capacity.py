@@ -10,13 +10,12 @@ from repro.extensions.capacity import (
     fk_usage_histogram,
     solve_with_capacity,
 )
-from repro.phase2.hypergraph import ConflictHypergraph
 from repro.relational.relation import Relation
 
 
 class TestCapacityColoring:
-    def test_cap_forces_spread(self):
-        graph = ConflictHypergraph.over(range(4))
+    def test_cap_forces_spread(self, graph_from_edges):
+        graph = graph_from_edges([], vertices=range(4))
         coloring, skipped = capacity_coloring(graph, ["a", "b"], 2)
         assert not skipped
         usage = {}
@@ -24,32 +23,31 @@ class TestCapacityColoring:
             usage[c] = usage.get(c, 0) + 1
         assert all(v <= 2 for v in usage.values())
 
-    def test_cap_one_is_a_matching(self):
-        graph = ConflictHypergraph.over(range(3))
+    def test_cap_one_is_a_matching(self, graph_from_edges):
+        graph = graph_from_edges([], vertices=range(3))
         coloring, skipped = capacity_coloring(graph, ["a", "b", "c"], 1)
         assert not skipped
         assert len(set(coloring.values())) == 3
 
-    def test_skips_when_capacity_exhausted(self):
-        graph = ConflictHypergraph.over(range(3))
+    def test_skips_when_capacity_exhausted(self, graph_from_edges):
+        graph = graph_from_edges([], vertices=range(3))
         coloring, skipped = capacity_coloring(graph, ["a"], 2)
         assert len(skipped) == 1
 
-    def test_dc_forbidding_still_applies(self):
-        graph = ConflictHypergraph()
-        graph.add_edge([0, 1])
+    def test_dc_forbidding_still_applies(self, graph_from_edges):
+        graph = graph_from_edges([(0, 1)])
         coloring, skipped = capacity_coloring(graph, ["a", "b"], 5)
         assert coloring[0] != coloring[1]
 
-    def test_invalid_cap_rejected(self):
+    def test_invalid_cap_rejected(self, graph_from_edges):
         with pytest.raises(ReproError):
-            capacity_coloring(ConflictHypergraph(), ["a"], 0)
+            capacity_coloring(graph_from_edges([]), ["a"], 0)
 
-    def test_shared_usage_across_calls(self):
+    def test_shared_usage_across_calls(self, graph_from_edges):
         usage = {}
-        g1 = ConflictHypergraph.over([0, 1])
+        g1 = graph_from_edges([], vertices=[0, 1])
         capacity_coloring(g1, ["a"], 2, {}, usage)
-        g2 = ConflictHypergraph.over([2])
+        g2 = graph_from_edges([], vertices=[2])
         coloring, skipped = capacity_coloring(g2, ["a"], 2, {}, usage)
         assert skipped == [2]  # "a" already full from the first call
 

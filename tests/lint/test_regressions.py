@@ -15,7 +15,6 @@ import pytest
 
 from repro.datagen.census import CensusConfig, generate_census
 from repro.lint import lint_paths
-from repro.phase2.hypergraph import ConflictHypergraph
 from repro.relational.join import fk_join
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,19 +38,31 @@ def test_fixed_module_lints_clean_without_baseline(name):
     assert report.new == [], "\n".join(d.render() for d in report.new)
 
 
-def test_hypergraph_vertex_order_is_member_order_independent():
+def test_hypergraph_vertex_order_is_member_order_independent(
+    graph_from_edges,
+):
     orders = ([3, 1, 2], [2, 3, 1], [1, 2, 3])
     graphs = []
     for members in orders:
-        g = ConflictHypergraph.over([])
-        assert g.add_edge(members)
+        pair = [v for v in members if v != 2]
+        g = graph_from_edges([members, pair], vertices=members[::-1])
+        assert g.num_edges == 2
         graphs.append(g)
-    assert all(g.vertices == [1, 2, 3] for g in graphs)
-    # Incident indices agree too, whatever order the edge listed them.
+    assert all(g.vertices.tolist() == [1, 2, 3] for g in graphs)
+    # Visit order and incidence agree too, whatever order the rows and
+    # edge members were listed in.
+    assert all(g.order({}) == graphs[0].order({}) for g in graphs)
     assert all(
-        g.incident_edges(v) == graphs[0].incident_edges(v)
+        g.forbidden(v, {1: "a", 2: "a", 3: "a"})
+        == graphs[0].forbidden(v, {1: "a", 2: "a", 3: "a"})
         for g in graphs
         for v in (1, 2, 3)
+    )
+    assert all(
+        g.edges == graphs[0].edges
+        and g.indptr.tolist() == graphs[0].indptr.tolist()
+        and g.indices.tolist() == graphs[0].indices.tolist()
+        for g in graphs
     )
 
 

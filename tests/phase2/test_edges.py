@@ -84,14 +84,14 @@ class TestBuildConflictGraph:
         relation = _relation([7, 7, 7, 8], ["x"] * 4)
         graph = build_conflict_graph(relation, [dc], range(4))
         assert graph.num_edges == 1
-        assert graph.edges[0] == frozenset({0, 1, 2})
+        assert graph.edges == [(0, 1, 2)]
 
     def test_multiple_dcs_union(self, dc_owner_pair, dc_spouse_gap):
         relation = _relation([75, 75, 20], ["Owner", "Owner", "Spouse"])
         graph = build_conflict_graph(
             relation, [dc_owner_pair, dc_spouse_gap], range(3)
         )
-        edges = {tuple(sorted(e)) for e in graph.edges}
+        edges = set(graph.edges)
         assert edges == {(0, 1), (0, 2), (1, 2)}
 
 

@@ -102,17 +102,3 @@ class TestNoKeyGaps:
         fk = phase2.r1_hat.column("hid")
         for u, v in [(0, 1), (2, 3), (4, 5), (6, 7)]:
             assert fk[u] != fk[v]
-
-    def test_parallel_path(self):
-        r1, r2, dcs, assignment, catalog = _fixture()
-        phase2 = run_phase2(
-            r1,
-            r2,
-            dcs,
-            assignment,
-            catalog,
-            "hid",
-            partitioned=True,
-            parallel_workers=2,
-        )
-        self._assert_dense_new_keys(r2, phase2)

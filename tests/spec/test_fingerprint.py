@@ -195,7 +195,6 @@ class TestResultOptions:
         # means adding it to RESULT_OPTION_FIELDS.
         assert excluded == {
             "workers",
-            "parallel_workers",
             "evaluate",
             "storage",
             "chunk_rows",

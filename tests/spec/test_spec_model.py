@@ -161,14 +161,11 @@ class TestSynthesisSpec:
         assert len(db.foreign_keys) == 1
 
     def test_options_round_trip_only_non_defaults(self):
-        spec = _two_table_spec().with_options(backend="native",
-                                              parallel_workers=2)
+        spec = _two_table_spec().with_options(backend="native", workers=2)
         data = spec.to_dict()
-        assert data["options"] == {"backend": "native",
-                                   "parallel_workers": 2}
+        assert data["options"] == {"backend": "native", "workers": 2}
         rebuilt = SynthesisSpec.from_dict(data)
-        assert rebuilt.options == SolverConfig(backend="native",
-                                               parallel_workers=2)
+        assert rebuilt.options == SolverConfig(backend="native", workers=2)
 
     def test_unknown_option_rejected(self):
         data = _two_table_spec().to_dict()
