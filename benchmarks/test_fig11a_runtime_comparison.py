@@ -5,7 +5,8 @@ monolithic ILP); their Phase II (random assignment) is negligible.  The
 hybrid splits intersecting CCs away from the exact recursion, so its
 Phase I is far cheaper; it pays a real Phase II (coloring) instead.  The
 paper reports the hybrid ~17× faster overall at scale; at mini scale we
-assert the structural facts rather than a wall-clock multiple.
+print the timings and assert the structural facts behind them (ILP
+sizes, conflict edges) rather than a wall-clock multiple.
 """
 
 from benchmarks.conftest import ccs_for, dataset
@@ -42,12 +43,15 @@ def test_fig11a_runtime(benchmark):
     ))
 
     for base, marg, hybrid in checks:
-        # Baselines barely touch Phase II (random assignment)…
-        assert base.phase2_seconds < base.phase1_seconds
-        # …while the hybrid does real Phase II work yet stays DC-exact.
+        # Baselines put every CC into one monolithic ILP, larger than
+        # the hybrid's, which only takes the intersecting CCs…
+        assert base.ilp_variables > hybrid.ilp_variables > 0
+        # …while the hybrid does real Phase II work (coloring a conflict
+        # graph; the baselines assign at random) yet stays DC-exact.
+        assert hybrid.conflict_edges > 0
         assert hybrid.dc_error == 0.0
-        # Marginal rows make the baseline's ILP at least as expensive.
-        assert marg.ilp_seconds >= 0.0
+        # Marginal rows make the baseline's ILP at least as large.
+        assert marg.ilp_variables >= base.ilp_variables
 
     data, ccs = dataset(SCALES[0]), ccs_for(SCALES[0], "bad")
     benchmark.pedantic(

@@ -38,9 +38,11 @@ class ExperimentRow:
     ilp_seconds: float = 0.0
     coloring_seconds: float = 0.0
     new_r2_tuples: int = 0
-    #: Phase II work counts (deterministic, unlike the timings).
+    #: Work counts (deterministic, unlike the timings): Phase II's
+    #: conflict graph and the Phase-I ILP's size (0 when no ILP ran).
     conflict_edges: int = 0
     partitions: int = 0
+    ilp_variables: int = 0
     per_cc_errors: List[float] = field(default_factory=list)
 
     @property
@@ -115,6 +117,7 @@ def run_hybrid(
         new_r2_tuples=p2.num_new_r2_tuples,
         conflict_edges=p2.num_edges,
         partitions=p2.num_partitions,
+        ilp_variables=p1.ilp.num_variables if p1.ilp else 0,
         per_cc_errors=list(errors.per_cc),
     )
 
@@ -148,5 +151,6 @@ def run_baseline(
         phase1_seconds=result.phase1_seconds,
         phase2_seconds=result.phase2_seconds,
         ilp_seconds=result.ilp.solve_seconds if result.ilp else 0.0,
+        ilp_variables=result.ilp.num_variables if result.ilp else 0,
         per_cc_errors=list(result.errors.per_cc),
     )

@@ -1,10 +1,11 @@
 """The C-Extension problem object and a brute-force decision oracle.
 
 :class:`CExtensionProblem` bundles one instance (Definition 2.6).  The
-exact :func:`brute_force_decision` oracle enumerates every FK assignment —
-exponential, strictly for tests: it lets property-based tests compare the
-heuristic pipeline against ground truth on tiny instances, and it realises
-the decision version used in the NP-hardness reduction (Proposition 2.8).
+exact :func:`brute_force_decision` oracle searches every FK assignment,
+pruning partial ones that already violate a DC — exponential, strictly
+for tests: it lets property-based tests compare the heuristic pipeline
+against ground truth on tiny instances, and it realises the decision
+version used in the NP-hardness reduction (Proposition 2.8).
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ def brute_force_decision(
 ) -> Optional[List[object]]:
     """Search all FK assignments; return a witness or ``None``.
 
+    A depth-first search over rows ``0..n-1`` that tries keys in order,
+    so it meets assignments in :func:`itertools.product` order and
+    returns the first witness an exhaustive scan would.  A branch is cut
+    as soon as the newest row completes a DC violation with earlier rows
+    on its key — the same tuples, in the same order, that
+    :meth:`CExtensionProblem.check` tests — and every complete
+    assignment is decided by ``check`` itself.
+
     Raises :class:`ConstraintError` when the search space exceeds
     ``limit`` — this oracle exists for tiny test instances only.
     """
@@ -82,7 +91,37 @@ def brute_force_decision(
         raise ConstraintError(
             f"brute force space {space} exceeds limit {limit}"
         )
-    for assignment in itertools.product(keys, repeat=n):
-        if problem.check(list(assignment)):
-            return list(assignment)
-    return None
+    r1 = problem.r1
+    if problem.fk_column in r1.schema:
+        r1 = r1.drop_column(problem.fk_column)
+    rows = [r1.row(i) for i in range(n)]
+    members: Dict[object, List[int]] = {key: [] for key in keys}
+
+    def completes_violation(row: int, key: object) -> bool:
+        earlier = [rows[i] for i in members[key]]
+        return any(
+            dc.violates([*combo, rows[row]])
+            for dc in problem.dcs
+            for combo in itertools.combinations(earlier, dc.arity - 1)
+        )
+
+    fk: List[object] = []
+    tried = [0] * n  # keys tried so far by each row on the current path
+    while True:
+        row = len(fk)
+        if row == n and problem.check(fk):
+            return fk
+        # Step to the next untried key, backtracking out of exhausted
+        # rows (and out of a complete assignment that failed the check).
+        while row == n or tried[row] == len(keys):
+            if row < n:
+                tried[row] = 0
+            if row == 0:
+                return None
+            row -= 1
+            members[fk.pop()].pop()
+        key = keys[tried[row]]
+        tried[row] += 1
+        if not completes_violation(row, key):
+            fk.append(key)
+            members[key].append(row)

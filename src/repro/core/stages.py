@@ -14,8 +14,11 @@ A strategy is a callable::
              *, ccs, config, options) -> Phase2Result
 
 where ``options`` carries the strategy-specific knobs (e.g. the capacity
-strategy's ``max_per_key``).  Built-in strategies load lazily so that
-importing :mod:`repro.core` never drags in the extension modules.
+strategy's ``max_per_key``).  Every built-in parses its options into a
+per-partition key cap and calls the same
+:func:`repro.phase2.fk_assignment.run_phase2`.  Built-in strategies load
+lazily so that importing :mod:`repro.core` never drags in the extension
+modules.
 """
 
 from __future__ import annotations

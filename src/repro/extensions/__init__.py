@@ -2,7 +2,6 @@
 
 from repro.extensions.capacity import (
     CapacityResult,
-    capacity_coloring,
     fk_usage_histogram,
     solve_with_capacity,
 )
@@ -15,21 +14,16 @@ from repro.extensions.quota_coloring import (
     quota_coloring_phase2,
     resolve_quota,
 )
-from repro.extensions.soft_capacity import (
-    soft_capacity_coloring,
-    soft_capacity_phase2,
-)
+from repro.extensions.soft_capacity import soft_capacity_phase2
 
 __all__ = [
     "CapacityResult",
     "DiscoveryConfig",
-    "capacity_coloring",
     "discover_fk_dcs",
     "discovered_windows",
     "fk_usage_histogram",
     "quota_coloring_phase2",
     "resolve_quota",
-    "soft_capacity_coloring",
     "soft_capacity_phase2",
     "solve_with_capacity",
 ]

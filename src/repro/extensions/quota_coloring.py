@@ -5,9 +5,10 @@ refines that: the cap is declared *per B-combo* — e.g. "a household whose
 ``Tenure`` is ``'Rented'`` hosts at most 2 persons, any other household
 is unlimited".  Each combo partition (the Section 5.2 partitioning,
 computed by the columnar ``group_by_combo`` kernel) is colored with its
-own per-key quota; partitions without a quota run the paper's plain
-Algorithm 3/4, so a quota-free edge is output-identical to the
-``"coloring"`` strategy.
+own per-key quota, a hard :class:`~repro.phase2.coloring.KeyCap`;
+partitions without a quota run the paper's plain Algorithm 3/4, so a
+quota-free edge is output-identical to the ``"coloring"`` strategy, and
+a lone ``default_quota = N`` to ``"capacity"`` with ``max_per_key = N``.
 
 Options:
 
@@ -36,33 +37,18 @@ In TOML::
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.core.config import SolverConfig
 from repro.core.stages import register_phase2_strategy
-from repro.errors import ColoringError, ReproError
-from repro.extensions.capacity import capacity_coloring
+from repro.errors import ReproError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.coloring import coloring_lf
-from repro.phase2.edges import build_conflict_graph
-from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
-    MintPool,
-    Phase2Result,
-    Phase2Stats,
-    assign_invalid_fresh,
-    color_skipped_with_fresh,
-    new_key_recorder,
-    partition_by_combo,
-)
-from repro.phase2.invalid import solve_invalid_tuples
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.phase2.coloring import KeyCap
+from repro.phase2.fk_assignment import Phase2Result, run_phase2
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnSpec
 
 __all__ = ["resolve_quota", "quota_coloring_phase2"]
 
@@ -161,97 +147,18 @@ def quota_coloring_phase2(
                 f"quota match references unknown R2 attributes "
                 f"{sorted(bad)} (known: {sorted(known_attrs)})"
             )
-    unlimited = not quotas and default_quota is None
 
-    stats = Phase2Stats()
-    key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
-    keys_by_combo = {c: list(k) for c, k in catalog.keys_by_combo.items()}
-    new_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_rows, stats
-    )
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
-
-    for combo in sorted(partitions.keys(), key=tuple_sort_key):
-        rows = partitions[combo]
-        started = time.perf_counter()
-        graph = build_conflict_graph(r1, dcs, rows)
-        stats.edge_seconds += time.perf_counter() - started
-        stats.num_edges += graph.num_edges
-        stats.num_partitions += 1
-
-        candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        if not candidates:
-            raise ColoringError(
-                f"no candidate keys for combo {combo!r}; Phase I "
-                "assigned a combination absent from R2"
-            )
+    def cap_of(combo: tuple) -> Optional[KeyCap]:
         quota = resolve_quota(catalog.as_dict(combo), quotas, default_quota)
-        started = time.perf_counter()
-        if quota is None:
-            # Unlimited partition: the paper's plain Algorithm 3/4 pass.
-            part_coloring, skipped = coloring_lf(graph, {}, candidates)
-            stats.num_skipped += len(skipped)
-            part_coloring = color_skipped_with_fresh(
-                len(rows),
-                part_coloring,
-                skipped,
-                pool,
-                combo,
-                record_new_key,
-                lambda fresh, col, graph=graph: coloring_lf(graph, col, fresh),
-            )
-        else:
-            usage: Dict[object, int] = {}
-            part_coloring, skipped = capacity_coloring(
-                graph, candidates, quota, {}, usage
-            )
-            stats.num_skipped += len(skipped)
-            part_coloring = color_skipped_with_fresh(
-                len(rows), part_coloring, skipped, pool, combo,
-                record_new_key,
-                lambda fresh, col, graph=graph, quota=quota: (
-                    capacity_coloring(graph, fresh, quota, col, usage)
-                ),
-                label="quota coloring",
-            )
-        stats.coloring_seconds += time.perf_counter() - started
-        coloring.update(part_coloring)
+        return None if quota is None else KeyCap(quota)
 
-    # ------------------------------------------------------------------
-    # Invalid tuples.
-    # ------------------------------------------------------------------
-    started = time.perf_counter()
-    if unlimited:
-        if assignment.invalid:
-            stats.num_invalid_handled = solve_invalid_tuples(
-                r1=r1,
-                dcs=dcs,
-                ccs=ccs,
-                assignment=assignment,
-                catalog=catalog,
-                coloring=coloring,
-                keys_by_combo=keys_by_combo,
-                factory=pool,
-                record_new_key=record_new_key,
-            )
-    else:
-        stats.num_invalid_handled = assign_invalid_fresh(
-            r1, ccs, assignment, catalog, pool, coloring, record_new_key
-        )
-    stats.invalid_seconds = time.perf_counter() - started
-
-    missing = [row for row in range(assignment.n) if row not in coloring]
-    if missing:
-        raise ColoringError(f"{len(missing)} rows ended up uncolored")
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_rows)
-    return Phase2Result(
-        r1_hat=r1_hat, r2_hat=r2_hat, coloring=coloring, stats=stats
+    return run_phase2(
+        r1,
+        r2,
+        dcs,
+        assignment,
+        catalog,
+        fk_column,
+        ccs=ccs,
+        cap_of=cap_of if quotas or default_quota is not None else None,
     )

@@ -21,6 +21,8 @@ candidate is DC-forbidden, when the best cost is infinite
 when it exceeds ``new_tuple_cost`` (the price of minting a fresh parent
 tuple; ``inf`` by default, i.e. never mint just to dodge an overflow).
 
+That choice rule is :class:`~repro.phase2.coloring.KeyCap`'s, run by
+:func:`~repro.phase2.fk_assignment.run_phase2` like every strategy's.
 The per-key overflow that was accepted is reported in
 :attr:`Phase2Result.overflow` and summed in
 :attr:`Phase2Stats.total_overflow`.
@@ -29,8 +31,8 @@ The per-key overflow that was accepted is reported in
 from __future__ import annotations
 
 import math
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Mapping, Optional, Sequence
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
@@ -39,71 +41,11 @@ from repro.core.stages import register_phase2_strategy
 from repro.errors import ReproError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.edges import build_conflict_graph
-from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
-    MintPool,
-    Phase2Result,
-    Phase2Stats,
-    assign_invalid_fresh,
-    color_skipped_with_fresh,
-    new_key_recorder,
-    partition_by_combo,
-)
-from repro.phase2.hypergraph import ConflictHypergraph
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.phase2.coloring import KeyCap
+from repro.phase2.fk_assignment import Phase2Result, run_phase2
 from repro.relational.relation import Relation
-from repro.relational.schema import ColumnSpec
 
-__all__ = ["soft_capacity_coloring", "soft_capacity_phase2"]
-
-
-def soft_capacity_coloring(
-    graph: ConflictHypergraph,
-    candidates: Sequence[object],
-    max_per_key: int,
-    penalty: float,
-    new_tuple_cost: float,
-    coloring: Optional[Dict[int, object]] = None,
-    usage: Optional[Dict[object, int]] = None,
-) -> Tuple[Dict[int, object], List[int]]:
-    """Largest-first list coloring with penalised (soft) usage caps.
-
-    Follows Algorithm 3's visit order and DC forbidding exactly; the only
-    change is the candidate choice, which minimises the overflow penalty
-    instead of hard-forbidding saturated colors.  With
-    ``penalty = math.inf`` every saturated color costs infinity and the
-    pass reproduces :func:`repro.extensions.capacity.capacity_coloring`
-    choice-for-choice.
-    """
-    if max_per_key < 1:
-        raise ReproError("max_per_key must be at least 1")
-    coloring = coloring if coloring is not None else {}
-    usage = usage if usage is not None else {}
-    for color in coloring.values():
-        usage.setdefault(color, 0)
-
-    skipped: List[int] = []
-    for v in graph.order(coloring):
-        forbidden = graph.forbidden(v, coloring)
-        best = None
-        best_cost = math.inf
-        for c in candidates:
-            if c in forbidden:
-                continue
-            over = usage.get(c, 0) + 1 - max_per_key
-            cost = 0.0 if over <= 0 else penalty * over
-            if cost < best_cost:
-                best_cost = cost
-                best = c
-                if cost == 0.0:
-                    break  # first under-cap candidate == the hard choice
-        if best is None or math.isinf(best_cost) or best_cost > new_tuple_cost:
-            skipped.append(v)
-        else:
-            coloring[v] = best
-            usage[best] = usage.get(best, 0) + 1
-    return coloring, skipped
+__all__ = ["soft_capacity_phase2"]
 
 
 @register_phase2_strategy("soft_capacity")
@@ -142,80 +84,29 @@ def soft_capacity_phase2(
         raise ReproError(
             f"unknown soft_capacity strategy options {sorted(options)}"
         )
-    if not isinstance(max_per_key, int) or isinstance(max_per_key, bool):
-        raise ReproError(
-            "the soft_capacity strategy requires an integer "
-            "'max_per_key' option"
-        )
-    penalty = float(penalty)
-    new_tuple_cost = float(new_tuple_cost)
-    if penalty <= 0:
+    cap = KeyCap(max_per_key, float(penalty), float(new_tuple_cost))
+    if cap.penalty <= 0:
         raise ReproError("soft_capacity 'penalty' must be positive")
-    if new_tuple_cost < 0:
+    if cap.new_tuple_cost < 0:
         raise ReproError("soft_capacity 'new_tuple_cost' must be >= 0")
 
-    stats = Phase2Stats()
-    key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
-    keys_by_combo = {c: list(k) for c, k in catalog.keys_by_combo.items()}
-    new_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
-    usage: Dict[object, int] = {}
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_rows, stats
+    result = run_phase2(
+        r1,
+        r2,
+        dcs,
+        assignment,
+        catalog,
+        fk_column,
+        ccs=ccs,
+        cap_of=lambda combo: cap,
     )
-
-    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
-
-    started = time.perf_counter()
-    for combo in sorted(partitions.keys(), key=tuple_sort_key):
-        rows = partitions[combo]
-        graph = build_conflict_graph(r1, dcs, rows)
-        stats.num_partitions += 1
-        stats.num_edges += graph.num_edges
-        candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        part_coloring, skipped = soft_capacity_coloring(
-            graph, candidates, max_per_key, penalty, new_tuple_cost,
-            {}, usage,
-        )
-        stats.num_skipped += len(skipped)
-        part_coloring = color_skipped_with_fresh(
-            len(rows), part_coloring, skipped, pool, combo, record_new_key,
-            lambda fresh, col, graph=graph: soft_capacity_coloring(
-                graph, fresh, max_per_key, penalty, new_tuple_cost,
-                col, usage,
-            ),
-            label="soft-capacity coloring",
-        )
-        coloring.update(part_coloring)
-    stats.coloring_seconds = time.perf_counter() - started
-
-    # Invalid tuples: fresh keys with an arbitrary safe combo, exactly as
-    # in the hard capacity strategy (the conservative escape hatch that
-    # can never add overflow).
-    started = time.perf_counter()
-    stats.num_invalid_handled = assign_invalid_fresh(
-        r1, ccs, assignment, catalog, pool, coloring, record_new_key,
-        usage=usage,
-    )
-    stats.invalid_seconds = time.perf_counter() - started
-
-    overflow = {
-        key: count - max_per_key
+    # Count keys in coloring order, as the Python scalars the coloring
+    # holds (an R1̂ column histogram would give numpy scalars).
+    usage = Counter(result.coloring.values())
+    result.overflow = {
+        key: count - cap.max_per_key
         for key, count in usage.items()
-        if count > max_per_key
+        if count > cap.max_per_key
     }
-    stats.total_overflow = sum(overflow.values())
-
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_rows)
-    return Phase2Result(
-        r1_hat=r1_hat,
-        r2_hat=r2_hat,
-        coloring=coloring,
-        stats=stats,
-        overflow=overflow,
-    )
+    result.stats.total_overflow = sum(result.overflow.values())
+    return result

@@ -1,6 +1,6 @@
 """Phase II: conflict hypergraphs, list coloring, FK assignment."""
 
-from repro.phase2.coloring import coloring_lf
+from repro.phase2.coloring import KeyCap, coloring_lf
 from repro.phase2.edges import (
     build_conflict_graph,
     conflicting_pairs,
@@ -17,6 +17,7 @@ from repro.phase2.invalid import solve_invalid_tuples
 __all__ = [
     "ConflictHypergraph",
     "FreshKeyFactory",
+    "KeyCap",
     "Phase2Result",
     "Phase2Stats",
     "build_conflict_graph",

@@ -6,15 +6,70 @@ already colored with that same color (for binary edges: the neighbour's
 color).  The vertex takes the smallest permitted candidate; if every
 candidate is forbidden the vertex is *skipped* and returned to the caller
 (Algorithm 4 then mints fresh colors, i.e. fresh R2 keys).
+
+A :class:`KeyCap` adds the capacity strategies' per-key usage cap to the
+same loop: only the candidate choice changes, never the visit order or
+the DC forbidding.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import ReproError
 from repro.phase2.hypergraph import ConflictHypergraph
 
-__all__ = ["coloring_lf"]
+__all__ = ["KeyCap", "coloring_lf"]
+
+
+@dataclass(frozen=True)
+class KeyCap:
+    """A per-key usage cap: at most ``max_per_key`` rows per color.
+
+    A DC-permitted candidate ``c`` costs nothing while
+    ``usage(c) < max_per_key`` and ``penalty * (usage(c) + 1 -
+    max_per_key)`` beyond it.  The vertex takes the cheapest candidate
+    (candidate order breaks ties, so a zero-cost choice is the first
+    under-cap candidate) and is skipped when that cost is infinite or
+    exceeds ``new_tuple_cost``, the price of minting a fresh key.  The
+    default ``penalty = inf`` makes the cap hard.
+    """
+
+    max_per_key: int
+    penalty: float = math.inf
+    new_tuple_cost: float = math.inf
+
+    def __post_init__(self) -> None:
+        cap = self.max_per_key
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ReproError(
+                f"'max_per_key' must be an integer >= 1, got {cap!r}"
+            )
+
+    def choose(
+        self,
+        pool: Sequence[object],
+        forbidden: Set[object],
+        usage: Dict[object, int],
+    ) -> Optional[object]:
+        """The cheapest permitted candidate, or ``None`` to skip."""
+        best = None
+        best_cost = math.inf
+        for c in pool:
+            if c in forbidden:
+                continue
+            over = usage.get(c, 0) + 1 - self.max_per_key
+            cost = 0.0 if over <= 0 else self.penalty * over
+            if cost < best_cost:
+                best_cost = cost
+                best = c
+                if cost == 0.0:
+                    break
+        if best_cost > self.new_tuple_cost or math.isinf(best_cost):
+            return None
+        return best
 
 
 def coloring_lf(
@@ -22,23 +77,34 @@ def coloring_lf(
     coloring: Dict[int, object],
     candidates: Sequence[object],
     candidate_lists: Optional[Dict[int, Sequence[object]]] = None,
+    cap: Optional[KeyCap] = None,
+    usage: Optional[Dict[object, int]] = None,
 ) -> Tuple[Dict[int, object], List[int]]:
     """Run one largest-first pass; returns ``(coloring, skipped)``.
 
     ``coloring`` may already hold colors (the second pass of Algorithm 4
     builds on the first); it is updated in place and also returned.
     ``candidate_lists`` optionally overrides the shared candidate list per
-    vertex (used by ``solveInvalidTuples``, where lists differ per tuple).
+    vertex (used by the unpartitioned ablation, where lists differ per
+    row).  With a ``cap``, ``usage`` counts the rows each color already
+    serves (e.g. from an earlier pass) and is updated in place.
     """
+    if cap is not None and usage is None:
+        usage = {}
     skipped: List[int] = []
     for v in graph.order(coloring):
         forbidden = graph.forbidden(v, coloring)
         pool = candidates
         if candidate_lists is not None and v in candidate_lists:
             pool = candidate_lists[v]
-        chosen = next((c for c in pool if c not in forbidden), None)
+        if cap is None:
+            chosen = next((c for c in pool if c not in forbidden), None)
+        else:
+            chosen = cap.choose(pool, forbidden, usage)
         if chosen is None:
             skipped.append(v)
         else:
             coloring[v] = chosen
+            if cap is not None:
+                usage[chosen] = usage.get(chosen, 0) + 1
     return coloring, skipped

@@ -8,6 +8,12 @@ fresh keys, which materialise as new tuples appended to ``R2̂`` (this is
 the second output of the paper's pipeline).  Invalid tuples — rows Phase I
 could not give B-values — are resolved last by ``solveInvalidTuples``.
 
+:func:`run_phase2` runs Phase II for every strategy.  A strategy
+chooses only two things: the per-key cap of each combo partition (a
+:class:`~repro.phase2.coloring.KeyCap`, or none for the paper's plain
+Algorithm 3) and, through that, the invalid-tuple policy (capped runs
+give each invalid tuple a fresh key instead).
+
 Proposition 5.5 invariants (all DCs satisfied; ``R1̂ ⋈ R2̂ = V_join``) are
 exercised by the integration tests.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from repro.constraints.dc import DenialConstraint
 from repro.errors import ColoringError
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.coloring import coloring_lf
+from repro.phase2.coloring import KeyCap, coloring_lf
 from repro.phase2.edges import build_conflict_graph
 from repro.phase2.invalid import solve_invalid_tuples
 from repro.relational.ordering import sort_key, tuple_sort_key
@@ -38,9 +44,6 @@ __all__ = [
     "run_phase2",
     "FreshKeyFactory",
     "MintPool",
-    "color_skipped_with_fresh",
-    "assign_invalid_fresh",
-    "new_key_recorder",
     "partition_by_combo",
 ]
 
@@ -155,97 +158,6 @@ class Phase2Result:
     overflow: Dict[object, int] = field(default_factory=dict)
 
 
-def new_key_recorder(
-    r2: Relation,
-    catalog: ComboCatalog,
-    keys_by_combo: Dict[tuple, List[object]],
-    new_rows: List[tuple],
-    stats: Phase2Stats,
-):
-    """The ``record_new_key(key, combo)`` closure every Phase-II strategy
-    shares: materialise the fresh key as a new R2 row carrying the
-    combo's B-values, extend the combo's candidate list, and count it."""
-    key_column = r2.schema.key
-
-    def record_new_key(key: object, combo: tuple) -> None:
-        values = catalog.as_dict(combo)
-        new_rows.append(
-            tuple(
-                key if name == key_column else values[name]
-                for name in r2.schema.names
-            )
-        )
-        keys_by_combo.setdefault(combo, []).append(key)
-        stats.num_new_r2_tuples += 1
-
-    return record_new_key
-
-
-def color_skipped_with_fresh(
-    num_rows: int,
-    coloring: Dict[int, object],
-    skipped: List[int],
-    pool: MintPool,
-    combo: tuple,
-    record_new_key,
-    color_pass,
-    label: str = "fresh-color",
-) -> Dict[int, object]:
-    """Resolve ``skipped`` vertices with fresh keys (Algorithm 4's retry).
-
-    ``color_pass(fresh, coloring) -> (coloring, skipped)`` runs one pass
-    of the caller's coloring over the fresh candidates — the hook through
-    which the capacity-family strategies reuse this loop with their own
-    forbidding rules.  Fresh keys that a pass actually used materialise
-    via ``record_new_key``; unclaimed ones return to the pool.
-    """
-    guard = 0
-    while skipped:
-        guard += 1
-        if guard > num_rows + 1:
-            raise ColoringError(f"{label} loop failed to make progress")
-        fresh = pool.take(len(skipped))
-        coloring, skipped = color_pass(fresh, coloring)
-        used = set(coloring.values())
-        for key in fresh:
-            if key in used:
-                record_new_key(key, combo)
-        pool.release([k for k in fresh if k not in used])
-    return coloring
-
-
-def assign_invalid_fresh(
-    r1: Relation,
-    ccs: Sequence[CardinalityConstraint],
-    assignment: ViewAssignment,
-    catalog: ComboCatalog,
-    pool: MintPool,
-    coloring: Dict[int, object],
-    record_new_key,
-    usage: Optional[Dict[object, int]] = None,
-) -> int:
-    """The conservative invalid-tuple escape hatch of the capacity-family
-    strategies: every invalid row gets a fresh key on a safe combo, so a
-    usage of 1 can never breach a cap or quota.  Returns the number of
-    rows handled."""
-    invalid_rows = sorted(assignment.invalid)
-    for row in invalid_rows:
-        combo = catalog.combos[0] if catalog.combos else None
-        if combo is None:
-            raise ColoringError("R2 has no value combinations at all")
-        safe = catalog.unused_for_row(r1.row(row), list(ccs))
-        if safe:
-            combo = safe[0]
-        key = pool.mint()
-        record_new_key(key, combo)
-        coloring[row] = key
-        if usage is not None:
-            usage[key] = usage.get(key, 0) + 1
-        assignment.assign(row, catalog.as_dict(combo))
-        assignment.invalid.discard(row)
-    return len(invalid_rows)
-
-
 def run_phase2(
     r1: Relation,
     r2: Relation,
@@ -255,17 +167,24 @@ def run_phase2(
     fk_column: str,
     ccs: Sequence[CardinalityConstraint] = (),
     partitioned: bool = True,
+    cap_of: Optional[Callable[[tuple], Optional[KeyCap]]] = None,
 ) -> Phase2Result:
     """Complete ``R1.FK`` so every DC holds; possibly grow ``R2``.
 
+    ``cap_of(combo)`` gives a combo partition's per-key cap (``None`` =
+    uncapped).  When it is set, invalid tuples take the fresh-key escape
+    hatch (one fresh key each, on a CC-safe combo) so no cap is breached.
+
     ``partitioned=False`` builds a single global conflict graph with
     per-vertex candidate lists (the ablation of the Section 5.2
-    optimization) — correct but quadratic in ``|R1|``.
+    optimization) — correct but quadratic in ``|R1|``; caps need the
+    partitions, so it rejects ``cap_of``.
     """
+    if cap_of is not None and not partitioned:
+        raise ValueError("per-key caps need the combo partitions")
     stats = Phase2Stats()
     key_column = r2.schema.key
-    factory = FreshKeyFactory(list(r2.column(key_column)))
-    pool = MintPool(factory)
+    pool = MintPool(FreshKeyFactory(list(r2.column(key_column))))
     new_r2_rows: List[tuple] = []
     coloring: Dict[int, object] = {}
 
@@ -273,97 +192,113 @@ def run_phase2(
         combo: list(keys) for combo, keys in catalog.keys_by_combo.items()
     }
 
+    def record_new_key(key: object, combo: tuple) -> None:
+        """Materialise a fresh key as a new R2 row carrying the combo's
+        B-values and extend the combo's candidate list."""
+        values = catalog.as_dict(combo)
+        new_r2_rows.append(
+            tuple(
+                key if name == key_column else values[name]
+                for name in r2.schema.names
+            )
+        )
+        keys_by_combo.setdefault(combo, []).append(key)
+        stats.num_new_r2_tuples += 1
+
+    def candidates_of(combo: tuple) -> List[object]:
+        keys = sorted(keys_by_combo.get(combo, []), key=sort_key)
+        if not keys:
+            raise ColoringError(
+                f"no candidate keys for combo {combo!r}; Phase I "
+                "assigned a combination absent from R2"
+            )
+        return keys
+
     # Partition the completed rows by their full B-combo — one
     # lexsort-and-split over the assignment's code matrix (chunked when
     # R1 itself is).
     partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
-
-    record_new_key = new_key_recorder(
-        r2, catalog, keys_by_combo, new_r2_rows, stats
-    )
-
+    combos = sorted(partitions, key=tuple_sort_key)
+    combo_of: Dict[int, tuple] = {}
     if partitioned:
-        for combo in sorted(partitions.keys(), key=tuple_sort_key):
-            rows = partitions[combo]
-            candidates = sorted(keys_by_combo.get(combo, []), key=sort_key)
-            if not candidates:
-                raise ColoringError(
-                    f"no candidate keys for combo {combo!r}; Phase I "
-                    "assigned a combination absent from R2"
-                )
-            if not dcs:
-                # No DCs ⇒ the conflict graph is empty and largest-first
-                # visits the rows ascending, giving every one the first
-                # candidate — same content and insertion order as the
-                # coloring pass, without building the graph.
-                started = time.perf_counter()
-                coloring.update(dict.fromkeys(rows, candidates[0]))
-                stats.num_partitions += 1
-                stats.coloring_seconds += time.perf_counter() - started
-                continue
-            started = time.perf_counter()
-            graph = build_conflict_graph(r1, dcs, rows)
-            stats.edge_seconds += time.perf_counter() - started
-            stats.num_edges += graph.num_edges
-            stats.num_partitions += 1
-
-            started = time.perf_counter()
-            part_coloring, skipped = coloring_lf(graph, {}, candidates)
-            stats.num_skipped += len(skipped)
-            part_coloring = color_skipped_with_fresh(
-                len(rows),
-                part_coloring,
-                skipped,
-                pool,
-                combo,
-                record_new_key,
-                lambda fresh, col, graph=graph: coloring_lf(graph, col, fresh),
-            )
-            stats.coloring_seconds += time.perf_counter() - started
-            coloring.update(part_coloring)
+        jobs = [
+            (partitions[combo], combo, candidates_of(combo), None)
+            for combo in combos
+        ]
     else:
-        combo_of_row = {
-            row: combo
-            for combo, rows in partitions.items()
-            for row in rows
-        }
-        all_rows = sorted(combo_of_row)
+        # The ablation: one job (combo ``None``) over every row, each row
+        # keeping its own combo's candidate list; ``combo_of`` tells
+        # which combo a fresh key a row took belongs to.
+        combo_of = {row: c for c in combos for row in partitions[c]}
+        keys_of = {c: candidates_of(c) for c in combos}
+        lists = {row: keys_of[c] for row, c in combo_of.items()}
+        jobs = [(sorted(combo_of), None, [], lists)]
+
+    for rows, combo, candidates, lists in jobs:
+        cap = cap_of(combo) if cap_of is not None else None
+        if not dcs and cap is None and lists is None:
+            # No DCs ⇒ the conflict graph is empty and largest-first
+            # visits the rows ascending, giving every one the first
+            # candidate — same content and insertion order as the
+            # coloring pass, without building the graph.
+            started = time.perf_counter()
+            coloring.update(dict.fromkeys(rows, candidates[0]))
+            stats.num_partitions += 1
+            stats.coloring_seconds += time.perf_counter() - started
+            continue
         started = time.perf_counter()
-        graph = build_conflict_graph(r1, dcs, all_rows)
+        graph = build_conflict_graph(r1, dcs, rows)
         stats.edge_seconds += time.perf_counter() - started
         stats.num_edges += graph.num_edges
-        stats.num_partitions = 1
-        candidate_lists = {
-            row: sorted(keys_by_combo.get(combo_of_row[row], []), key=sort_key)
-            for row in all_rows
-        }
+        stats.num_partitions += 1
+
         started = time.perf_counter()
-        coloring, skipped = coloring_lf(graph, coloring, [], candidate_lists)
+        usage: Dict[object, int] = {}
+        part, skipped = coloring_lf(graph, {}, candidates, lists, cap, usage)
         stats.num_skipped += len(skipped)
+        # Algorithm 4's retry: skipped rows try fresh keys (the ablation
+        # gives each row its own); keys a pass used become new R2 rows
+        # under the combo of a row that took them, the rest go back to
+        # the pool.
         guard = 0
         while skipped:
             guard += 1
-            if guard > len(all_rows) + 1:
+            if guard > len(rows) + 1:
                 raise ColoringError("fresh-color loop failed to make progress")
             fresh = pool.take(len(skipped))
-            fresh_by_row = dict(zip(skipped, fresh))
-            fresh_lists = {row: [key] for row, key in fresh_by_row.items()}
-            coloring, skipped = coloring_lf(graph, coloring, [], fresh_lists)
-            unused = []
-            for row, key in fresh_by_row.items():
-                if coloring.get(row) == key:
-                    record_new_key(key, combo_of_row[row])
-                else:
-                    unused.append(key)
-            pool.release(unused)
+            if lists is not None:
+                lists = {row: [key] for row, key in zip(skipped, fresh)}
+            retried = skipped
+            part, skipped = coloring_lf(graph, part, fresh, lists, cap, usage)
+            taker = {part[row]: row for row in retried if row in part}
+            for key in fresh:
+                if key in taker:
+                    record_new_key(key, combo_of.get(taker[key], combo))
+            pool.release([key for key in fresh if key not in taker])
         stats.coloring_seconds += time.perf_counter() - started
+        coloring.update(part)
 
     # ------------------------------------------------------------------
     # Invalid tuples.
     # ------------------------------------------------------------------
     started = time.perf_counter()
-    if assignment.invalid:
-        handled = solve_invalid_tuples(
+    if cap_of is not None:
+        # The capped strategies' escape hatch: each invalid row gets a
+        # fresh key (usage 1, so no cap can be breached) on the first
+        # combo that makes it count toward no CC, if there is one.
+        for row in sorted(assignment.invalid):
+            if not catalog.combos:
+                raise ColoringError("R2 has no value combinations at all")
+            safe = catalog.unused_for_row(r1.row(row), list(ccs))
+            combo = safe[0] if safe else catalog.combos[0]
+            key = pool.mint()
+            record_new_key(key, combo)
+            coloring[row] = key
+            assignment.assign(row, catalog.as_dict(combo))
+            assignment.invalid.discard(row)
+            stats.num_invalid_handled += 1
+    elif assignment.invalid:
+        stats.num_invalid_handled = solve_invalid_tuples(
             r1=r1,
             dcs=dcs,
             ccs=ccs,
@@ -374,17 +309,14 @@ def run_phase2(
             factory=pool,
             record_new_key=record_new_key,
         )
-        stats.num_invalid_handled = handled
     stats.invalid_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Materialise R1̂ and R2̂.
     # ------------------------------------------------------------------
     if len(coloring) < assignment.n:
-        missing = [
-            row for row in range(assignment.n) if row not in coloring
-        ]
-        raise ColoringError(f"{len(missing)} rows ended up uncolored")
+        missing = assignment.n - len(coloring)
+        raise ColoringError(f"{missing} rows ended up uncolored")
     fk_values = [coloring[row] for row in range(assignment.n)]
     key_dtype = r2.schema.dtype(key_column)
     r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)

@@ -28,6 +28,11 @@ class TestRunners:
     def test_run_baseline_row(self, census_small, census_good_ccs):
         row = run_baseline(census_small, census_good_ccs, good_dcs())
         assert row.algorithm == "baseline"
+        # Every CC goes into the baseline's one ILP; good CCs need none
+        # in the hybrid.
+        assert row.ilp_variables > 0
+        hybrid = run_hybrid(census_small, census_good_ccs, good_dcs())
+        assert hybrid.ilp_variables == 0
         marg = run_baseline(
             census_small, census_good_ccs, good_dcs(), with_marginals=True
         )

@@ -53,6 +53,27 @@ class TestEquivalence:
         assert quota.r1_hat.to_rows() == plain.r1_hat.to_rows()
         assert quota.r2_hat.to_rows() == plain.r2_hat.to_rows()
 
+    @_SLOW
+    @given(
+        seed=st.integers(min_value=0, max_value=25),
+        households=st.integers(min_value=20, max_value=60),
+        cap=st.integers(min_value=1, max_value=5),
+    )
+    def test_default_quota_equals_hard_capacity(self, seed, households, cap):
+        """quota_coloring(default_quota=N) is output-identical to
+        capacity(max_per_key=N): one quota on every combo is one cap."""
+        data = generate_census(
+            CensusConfig(n_households=households, n_areas=4, seed=seed)
+        )
+        ccs = cc_family(data, "good", 8)
+        dcs = good_dcs()
+        hard = _solve(data, ccs, dcs, "capacity", {"max_per_key": cap})
+        quota = _solve(
+            data, ccs, dcs, "quota_coloring", {"default_quota": cap}
+        )
+        assert quota.r1_hat.to_rows() == hard.r1_hat.to_rows()
+        assert quota.r2_hat.to_rows() == hard.r2_hat.to_rows()
+
 
 class TestQuotas:
     def test_default_quota_caps_every_key(self, census):

@@ -11,6 +11,7 @@ from repro.datagen.census import CensusConfig, generate_census
 from repro.datagen.constraints_census import cc_family, good_dcs
 from repro.errors import ReproError
 from repro.extensions.capacity import fk_usage_histogram
+from repro.relational.relation import Relation
 from repro.spec import SpecBuilder, synthesize
 
 _SLOW = settings(
@@ -133,4 +134,16 @@ class TestValidation:
             _solve(
                 data, ccs, dcs, "soft_capacity",
                 max_per_key=2, penalty=0.0,
+            )
+
+    @pytest.mark.parametrize("bad", [0, True])
+    def test_bad_cap_rejected_up_front(self, bad):
+        """0 used to fail only once a row was colored — never, for an
+        empty child relation."""
+        r1 = Relation.from_columns({"pid": [], "Age": []}, key="pid")
+        r2 = Relation.from_columns({"hid": [1], "Area": ["X"]}, key="hid")
+        with pytest.raises(ReproError, match="max_per_key"):
+            CExtensionSolver().solve(
+                r1, r2, fk_column="hid", strategy="soft_capacity",
+                strategy_options={"max_per_key": bad},
             )

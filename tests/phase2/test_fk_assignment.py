@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.metrics import dc_error
+from repro.core.synthesizer import CExtensionSolver
 from repro.phase1.hybrid import run_phase1
 from repro.phase2.fk_assignment import FreshKeyFactory, run_phase2
 from repro.relational.join import fk_join
@@ -101,3 +102,38 @@ class TestGlobalColoringAblation:
         # The global graph sees the dashed cross-partition edges of
         # Figure 7 as well, so it has at least as many edges.
         assert global_.stats.num_edges >= partitioned.stats.num_edges
+
+
+class TestSharedRunPhase2:
+    """Every Phase-II strategy runs :func:`run_phase2`, so each fills
+    :class:`Phase2Stats` the same way."""
+
+    STRATEGIES = [
+        ("coloring", {}),
+        ("capacity", {"max_per_key": 2}),
+        ("soft_capacity", {"max_per_key": 2}),
+        ("quota_coloring", {"default_quota": 2}),
+    ]
+
+    def test_stats_filled_alike(
+        self, census_small, census_good_ccs, census_all_dcs
+    ):
+        stats = {}
+        for strategy, options in self.STRATEGIES:
+            result = CExtensionSolver().solve(
+                census_small.persons_masked,
+                census_small.housing,
+                fk_column="hid",
+                ccs=census_good_ccs,
+                dcs=census_all_dcs,
+                strategy=strategy,
+                strategy_options=options,
+            )
+            stats[strategy] = result.phase2.stats
+        baseline = stats["coloring"]
+        assert baseline.num_edges > 0
+        for strategy, s in stats.items():
+            assert s.num_partitions == baseline.num_partitions, strategy
+            assert s.num_edges == baseline.num_edges, strategy
+            assert s.edge_seconds > 0, strategy
+            assert s.coloring_seconds > 0, strategy
