@@ -36,6 +36,8 @@ class ExperimentRow:
     pairwise_seconds: float = 0.0
     recursion_seconds: float = 0.0
     ilp_seconds: float = 0.0
+    #: Phase I's last stage: completing partial and untouched rows.
+    completion_seconds: float = 0.0
     coloring_seconds: float = 0.0
     new_r2_tuples: int = 0
     #: Work counts (deterministic, unlike the timings): Phase II's
@@ -113,6 +115,7 @@ def run_hybrid(
         pairwise_seconds=p1.pairwise_seconds,
         recursion_seconds=p1.recursion_seconds,
         ilp_seconds=p1.ilp_seconds,
+        completion_seconds=p1.completion_seconds,
         coloring_seconds=p2.edge_seconds + p2.coloring_seconds,
         new_r2_tuples=p2.num_new_r2_tuples,
         conflict_edges=p2.num_edges,

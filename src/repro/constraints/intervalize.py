@@ -26,7 +26,7 @@ from repro.relational.predicate import Interval, Predicate, ValueSet
 from repro.relational.relation import Relation
 from repro.relational.types import Dtype, IntDomain
 
-__all__ = ["Binning", "build_binning"]
+__all__ = ["Binning", "build_binning", "first_seen_groups", "fuse_codes"]
 
 
 @dataclass
@@ -60,37 +60,53 @@ class Binning:
     # ------------------------------------------------------------------
     # Binning rows
     # ------------------------------------------------------------------
+    def key_codes(
+        self,
+        relation: Relation,
+        attr: str,
+        indices: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """Dense bin-component codes of one attribute and their span.
+
+        Numeric attributes are intervalized on the column's distinct
+        values (the cached :meth:`Relation.codes` factorization) and the
+        result broadcast back through the codes — one ``searchsorted``
+        over the uniques instead of one over every row; the code *is*
+        the elementary-interval index.  Categorical attributes use the
+        factorization codes as they are.  Codes lie in ``[0, span)``.
+
+        Raises :class:`ConstraintError` when a selected numeric value
+        lies outside ``[starts[0], his[attr]]``: no interval holds it.
+        """
+        codes, uniques = relation.codes(attr)
+        if indices is not None:
+            codes = codes[indices]
+        if not self.is_numeric(attr):
+            return codes, len(uniques)
+        starts = self.starts[attr]
+        unique_comp = np.searchsorted(starts, uniques, side="right") - 1
+        outside = (unique_comp < 0) | (uniques > self.his[attr])
+        if outside[codes].any():
+            raise ConstraintError(
+                f"values outside the domain of attribute {attr!r}"
+            )
+        return unique_comp[codes], len(starts)
+
     def key_arrays(
         self, relation: Relation, indices: Optional[np.ndarray] = None
     ) -> List[np.ndarray]:
         """Per-attribute key component arrays for (a subset of) a relation.
 
-        Numeric attributes are intervalized on the column's distinct
-        values (the cached :meth:`Relation.codes` factorization) and the
-        result broadcast back through the codes — one ``searchsorted``
-        over the uniques instead of one over every row.
+        A numeric component is the elementary-interval index
+        (:meth:`key_codes`); a categorical one is the raw value.
         """
         out = []
         for attr in self.attrs:
             if self.is_numeric(attr):
-                codes, uniques = relation.codes(attr)
-                starts = self.starts[attr]
-                unique_comp = (
-                    np.searchsorted(starts, uniques, side="right") - 1
-                )
-                comp = unique_comp[codes]
-                if indices is not None:
-                    comp = comp[indices]
-                if (comp < 0).any():
-                    raise ConstraintError(
-                        f"values below the domain of attribute {attr!r}"
-                    )
-                out.append(comp)
+                out.append(self.key_codes(relation, attr, indices)[0])
             else:
                 values = relation.column(attr)
-                if indices is not None:
-                    values = values[indices]
-                out.append(values)
+                out.append(values if indices is None else values[indices])
         return out
 
     def bin_keys(
@@ -112,14 +128,26 @@ class Binning:
     def bin_members(
         self, relation: Relation, indices: Optional[np.ndarray] = None
     ) -> Dict[tuple, List[int]]:
-        """Row indices (into the original relation) per bin."""
+        """Row indices (into the original relation) per bin.
+
+        Bins appear in order of first appearance in ``indices`` and list
+        their rows in ``indices`` order; each key holds the components of
+        the bin's first row, exactly as a per-row ``setdefault`` builds.
+        """
         if indices is None:
             indices = np.arange(len(relation), dtype=np.int64)
-        members: Dict[tuple, List[int]] = {}
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            return {}
         arrays = self.key_arrays(relation, indices)
-        for pos, row_idx in enumerate(indices):
-            key = tuple(arr[pos] for arr in arrays)
-            members.setdefault(key, []).append(int(row_idx))
+        ids, count = fuse_codes(
+            [self.key_codes(relation, attr, indices) for attr in self.attrs],
+            indices.size,
+        )
+        members: Dict[tuple, List[int]] = {}
+        for positions in first_seen_groups(ids, count):
+            key = tuple(arr[positions[0]] for arr in arrays)
+            members[key] = indices[positions].tolist()
         return members
 
     # ------------------------------------------------------------------
@@ -197,3 +225,35 @@ def build_binning(
         his[attr] = hi
 
     return Binning(attrs=tuple(attrs), starts=starts, his=his)
+
+
+def fuse_codes(
+    columns: Sequence[Tuple[np.ndarray, int]], n: int
+) -> Tuple[np.ndarray, int]:
+    """Dense group ids of ``n`` rows that agree on every code column.
+
+    ``columns`` holds ``(codes, span)`` pairs with codes in ``[0, span)``.
+    The running id is re-factorised after each column, so the fused key
+    ``ids * span + codes`` stays below ``n * span`` and no ``n × k``
+    matrix is built.  Ids follow the lexicographic order of the rows'
+    code tuples; returns ``(ids, number_of_groups)``.
+    """
+    ids = np.zeros(n, dtype=np.int64)
+    count = 1 if n else 0
+    for codes, span in columns:
+        uniques, inverse = np.unique(ids * span + codes, return_inverse=True)
+        ids = inverse.reshape(-1).astype(np.int64, copy=False)
+        count = len(uniques)
+    return ids, count
+
+
+def first_seen_groups(ids: np.ndarray, count: int) -> List[np.ndarray]:
+    """Positions of each id in ``ids`` (ids in ``[0, count)``).
+
+    Each group lists its positions in ascending order; groups come in
+    order of first appearance, as a per-row ``setdefault`` fills a dict.
+    """
+    order = np.argsort(ids, kind="stable")
+    sizes = np.bincount(ids, minlength=count)
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    return sorted((g for g in groups if g.size), key=lambda g: int(g[0]))

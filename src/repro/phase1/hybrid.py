@@ -7,14 +7,21 @@ Pipeline:
    intersecting CCs go to Algorithm 2 (``S1``, exact), the rest to
    Algorithm 1 (``S2``, ILP with *modified marginals* limited to the bins
    the ``S2`` CCs can touch);
-3. complete partial and untouched rows against ``combo_unused`` — choosing,
-   per row, a combination that adds no new CC contribution when one
-   exists; rows with no usable combination become *invalid tuples* for
-   Phase II's ``solveInvalidTuples``.
+3. complete partial and untouched rows against ``combo_unused``
+   (:func:`complete_leftovers`).  Rows fall into *decision classes* —
+   equal bin components on the attributes the CCs' R1 parts constrain,
+   equal partial assignment — and each class gets, from one class ×
+   disjunct match matrix and one disjunct × combo matrix, the tied
+   combos that add the fewest new CC contributions.  Rows then take
+   their class's least-loaded candidate in ascending row order, from
+   one lazy min-heap per distinct candidate list; rows with no usable
+   combination become *invalid tuples* for Phase II's
+   ``solveInvalidTuples``.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -23,7 +30,12 @@ import numpy as np
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.hasse import HasseForest
-from repro.constraints.intervalize import Binning, build_binning
+from repro.constraints.intervalize import (
+    Binning,
+    build_binning,
+    first_seen_groups,
+    fuse_codes,
+)
 from repro.constraints.relationships import RelationshipTable
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
@@ -32,9 +44,15 @@ from repro.phase1.hasse_completion import (
     complete_with_hasse,
 )
 from repro.phase1.ilp_completion import IlpCompletionStats, complete_with_ilp
+from repro.relational.predicate import Predicate
 from repro.relational.relation import Relation
 
-__all__ = ["Phase1Stats", "Phase1Result", "run_phase1"]
+__all__ = [
+    "Phase1Stats",
+    "Phase1Result",
+    "complete_leftovers",
+    "run_phase1",
+]
 
 
 @dataclass
@@ -189,9 +207,7 @@ def run_phase1(
     # 3. Complete partial and untouched rows (combo_unused).
     # ------------------------------------------------------------------
     started = time.perf_counter()
-    _complete_leftovers(
-        r1, r1_attrs, catalog, unique_ccs, binning, assignment
-    )
+    complete_leftovers(r1, r1_attrs, catalog, unique_ccs, binning, assignment)
     stats.completion_seconds = time.perf_counter() - started
     stats.invalid_rows = len(assignment.invalid)
 
@@ -205,7 +221,12 @@ def run_phase1(
     )
 
 
-def _complete_leftovers(
+#: Cells of the (decision classes × combos) damage array, and of the
+#: (classes × disjuncts) arrays behind it, scored at once.
+_DAMAGE_BLOCK_CELLS = 1 << 20
+
+
+def complete_leftovers(
     r1: Relation,
     r1_attrs: Sequence[str],
     catalog: ComboCatalog,
@@ -215,164 +236,193 @@ def _complete_leftovers(
 ) -> None:
     """Finish partial rows and place untouched rows on unused combos.
 
-    Decisions are cached per (bin, partial-assignment) because every row in
-    an intervalized bin satisfies exactly the same CC R1-conditions.
+    Every pending row belongs to a *decision class*: the rows sharing
+    their bin components on the attributes some CC's R1 part constrains
+    (``bin_matches`` ignores every other attribute) and their partial
+    assignment.  Each class gets the tied least-damaging combos as its
+    candidate list; a row with no candidates becomes an invalid tuple.
+    Rows then take, in ascending row order, the candidate with the
+    lowest ``(load + 1) / max(1, capacity)`` — spreading free rows
+    across equally-safe combos in proportion to how many R2 keys carry
+    each combo keeps Phase II from minting fresh keys for overloaded
+    combos.
     """
     combos = catalog.combos
-    if not combos:
-        assignment.mark_invalid_rows(
-            np.flatnonzero(~assignment.complete_mask())
-        )
-        return
-
-    num_combos = len(combos)
-    r1_attr_set = set(r1_attrs)
-    r2_attr_set = set(catalog.attrs)
-
-    # Per CC, per disjunct: (r1_part, r2_part, combo-match vector).
-    cc_splits: List[List[Tuple]] = []
-    for cc in ccs:
-        split = []
-        for r1_part, r2_part in cc.split_disjuncts(r1_attr_set, r2_attr_set):
-            combo_match = np.asarray(
-                [
-                    r2_part.matches_row(catalog.as_dict(combo))
-                    for combo in combos
-                ],
-                dtype=bool,
-            )
-            split.append((r1_part, r2_part, combo_match))
-        cc_splits.append(split)
-
-    bin_cc_cache: Dict[tuple, List[np.ndarray]] = {}
-
-    def bin_cc_match(key: tuple) -> List[np.ndarray]:
-        """Per CC: boolean array over its disjuncts — does the bin match
-        that disjunct's R1 condition?"""
-        cached = bin_cc_cache.get(key)
-        if cached is None:
-            cached = [
-                np.asarray(
-                    [
-                        binning.bin_matches(key, r1_part)
-                        for r1_part, _, __ in split
-                    ],
-                    dtype=bool,
-                )
-                for split in cc_splits
-            ]
-            bin_cc_cache[key] = cached
-        return cached
-
     pending = np.flatnonzero(~assignment.complete_mask())
+    if not combos:
+        assignment.mark_invalid_rows(pending)
+        return
     if pending.size == 0:
         return
-    keys = binning.bin_keys(r1, pending)
-    # Per-row partial-assignment signatures straight off the code matrix:
-    # equal code vectors ⇔ equal partial assignments, so the signature
-    # bytes replace the old `tuple(sorted(partial.items()))` cache key
-    # without materialising a dict per row.
-    signatures = assignment.code_rows(pending)
-    num_set = (signatures >= 0).sum(axis=1)
 
-    decision_cache: Dict[tuple, Tuple[List[int], bool]] = {}
-    # Load balancing: spreading the free rows across equally-safe combos in
-    # proportion to how many R2 keys carry each combo keeps Phase II from
-    # having to mint fresh keys for overloaded combos.
-    key_capacity = {
-        c: len(catalog.keys_by_combo.get(combo, ()))
-        for c, combo in enumerate(combos)
-    }
-    load = {c: 0 for c in range(num_combos)}
-    chosen_rows: Dict[int, List[int]] = {}
+    # One column per disjunct of every CC: its R1 part, R2 part and CC.
+    r1_attr_set = set(r1_attrs)
+    r2_attr_set = set(catalog.attrs)
+    r1_parts: List[Predicate] = []
+    r2_parts: List[Predicate] = []
+    disjunct_cc: List[int] = []
+    for i, cc in enumerate(ccs):
+        for r1_part, r2_part in cc.split_disjuncts(r1_attr_set, r2_attr_set):
+            r1_parts.append(r1_part)
+            r2_parts.append(r2_part)
+            disjunct_cc.append(i)
+    num_disjuncts = len(r1_parts)
+    combo_values = [catalog.as_dict(combo) for combo in combos]
+    # Disjunct × combo: does the combo satisfy the disjunct's R2 part?
+    combo_match = np.zeros((num_disjuncts, len(combos)), dtype=bool)
+    for d, r2_part in enumerate(r2_parts):
+        combo_match[d] = [r2_part.matches_row(v) for v in combo_values]
+    trivial_r2 = np.asarray([p.is_trivial for p in r2_parts], dtype=bool)
 
-    for pos, (row, key) in enumerate(zip(pending.tolist(), keys)):
-        cache_key = (key, signatures[pos].tobytes())
-        decision = decision_cache.get(cache_key)
-        if decision is None:
-            partial = assignment.values(row) or {}
-            decision = _choose_combo(
-                partial,
-                catalog,
-                cc_splits,
-                bin_cc_match(key),
-                num_combos,
-                untouched=num_set[pos] == 0,
-            )
-            decision_cache[cache_key] = decision
-        candidates, clean = decision
-        if not candidates:
-            assignment.mark_invalid(row)
-            continue
-        combo_index = min(
-            candidates,
-            key=lambda c: (load[c] + 1) / max(1, key_capacity[c]),
+    # ------------------------------------------------------------------
+    # Decision classes: the partial assignment, then the bin component
+    # of every constrained attribute (every intervalized one among them).
+    # ------------------------------------------------------------------
+    # Shifted so an unset cell (-1) becomes code 0.
+    signatures = assignment.code_rows(pending).astype(np.int64) + 1
+    partial_of, _ = fuse_codes(
+        [(column, int(column.max()) + 1) for column in signatures.T],
+        pending.size,
+    )
+    keyed = [
+        attr
+        for attr in binning.attrs
+        if any(part.condition(attr) is not None for part in r1_parts)
+    ]
+    attr_codes = [binning.key_codes(r1, attr, pending) for attr in keyed]
+    class_of, num_classes = fuse_codes(
+        [(partial_of, int(partial_of.max()) + 1)] + attr_codes, pending.size
+    )
+    _, first = np.unique(class_of, return_index=True)
+
+    # Class × disjunct: does the class's bin satisfy the disjunct's R1
+    # part?  Each (attribute, component, disjunct) is evaluated once,
+    # with the very calls ``Binning.bin_matches`` makes.
+    bin_match = np.ones((num_classes, num_disjuncts), dtype=bool)
+    for attr, (codes, _) in zip(keyed, attr_codes):
+        conds = [
+            (d, cond)
+            for d, part in enumerate(r1_parts)
+            if (cond := part.condition(attr)) is not None
+        ]
+        present, local = np.unique(codes[first], return_inverse=True)
+        match = np.ones((len(present), num_disjuncts), dtype=bool)
+        if binning.is_numeric(attr):
+            intervals = [binning.interval(attr, int(k)) for k in present]
+            for d, cond in conds:
+                match[:, d] = [iv.is_subset_of(cond) for iv in intervals]
+        else:
+            values = list(r1.codes(attr)[1][present])
+            for d, cond in conds:
+                match[:, d] = [cond.matches(v) for v in values]
+        bin_match &= match[local.reshape(-1)]
+
+    # Per partial assignment: the combos consistent with it.
+    _, partial_first = np.unique(partial_of, return_index=True)
+    num_set = (signatures[partial_first] > 0).sum(axis=1)
+    consistent = np.ones((len(partial_first), len(combos)), dtype=bool)
+    for s, pos in enumerate(partial_first.tolist()):
+        if num_set[s] > 0:
+            partial = assignment.values(int(pending[pos]))
+            consistent[s] = [
+                all(values.get(a) == v for a, v in partial.items())
+                for values in combo_values
+            ]
+
+    # Damage of a combo for a class: the CCs it would newly satisfy.  A
+    # CC with a bin-matching disjunct whose R2 part is trivial counts
+    # whatever the combo, so it is guaranteed and adds nothing.  (One
+    # whose R2 part the partial already pins and satisfies adds one to
+    # every consistent combo alike, so it cannot change a decision.)
+    class_partial = partial_of[first]
+    cc_ids = np.asarray(disjunct_cc, dtype=np.int64)
+    by_cc = np.zeros((num_disjuncts, len(ccs)))
+    by_cc[np.arange(num_disjuncts), cc_ids] = 1.0
+    satisfies = combo_match.astype(np.float64)
+    disjunct_counts = np.bincount(cc_ids, minlength=len(ccs))
+    conjunctive = disjunct_counts[cc_ids] == 1
+    disjunctive = [
+        np.flatnonzero(cc_ids == i)
+        for i in np.flatnonzero(disjunct_counts > 1)
+    ]
+
+    # Candidate lists: the tied least-damaging consistent combos.  An
+    # untouched row (no attribute set) with no damage-free combo gets
+    # none and becomes invalid.
+    list_ids: Dict[bytes, int] = {}
+    candidates: List[List[int]] = []
+    class_list = np.full(num_classes, -1, dtype=np.int64)
+    block = max(1, _DAMAGE_BLOCK_CELLS // max(len(combos), num_disjuncts))
+    for lo in range(0, num_classes, block):
+        rows = slice(lo, lo + block)
+        matched = bin_match[rows]
+        guaranteed = ((matched & trivial_r2) @ by_cc) > 0
+        exposed = (matched & ~guaranteed[:, cc_ids]).astype(np.float64)
+        hits = exposed[:, conjunctive] @ satisfies[conjunctive]
+        for cols in disjunctive:
+            hits += np.minimum(exposed[:, cols] @ satisfies[cols], 1.0)
+        damage = hits.astype(np.int64)
+        allowed = consistent[class_partial[rows]]
+        best = np.where(allowed, damage, np.iinfo(np.int64).max).min(axis=1)
+        tied = allowed & (damage == best[:, None])
+        usable = allowed.any(axis=1) & (
+            (num_set[class_partial[rows]] > 0) | (best == 0)
         )
-        load[combo_index] += 1
-        chosen_rows.setdefault(combo_index, []).append(row)
-        # When `clean` is False the best available combos still add a CC
-        # contribution; the row stays valid (it has concrete B values) but
-        # contributes CC error, exactly like the paper's non-exact cases.
+        packed = np.packbits(tied, axis=1)
+        for g in np.flatnonzero(usable).tolist():
+            key = packed[g].tobytes()
+            list_id = list_ids.get(key)
+            if list_id is None:
+                list_id = list_ids[key] = len(candidates)
+                candidates.append(np.flatnonzero(tied[g]).tolist())
+            class_list[lo + g] = list_id
+    row_list = class_list[class_of]
+    assignment.mark_invalid_rows(pending[row_list < 0])
 
-    # Commit the decisions combo-by-combo in bulk vector writes.
-    for combo_index, rows in chosen_rows.items():
-        assignment.assign_rows(rows, catalog.as_dict(combos[combo_index]))
+    capacity = [
+        max(1, len(catalog.keys_by_combo.get(combo, ()))) for combo in combos
+    ]
+    placed = np.flatnonzero(row_list >= 0)
+    picks = _balance(row_list[placed].tolist(), candidates, capacity)
+
+    # Commit combo by combo, in first-use order (it fixes the value
+    # codes, and so Phase II's partition order).
+    placed_rows = pending[placed]
+    for positions in first_seen_groups(
+        np.asarray(picks, dtype=np.int64), len(combos)
+    ):
+        combo = combos[picks[positions[0]]]
+        assignment.assign_rows(placed_rows[positions], catalog.as_dict(combo))
 
 
-def _choose_combo(
-    partial: Dict[str, object],
-    catalog: ComboCatalog,
-    cc_splits: List[List[Tuple]],
-    bin_match: List[np.ndarray],
-    num_combos: int,
-    untouched: bool,
-) -> Tuple[List[int], bool]:
-    """Find the least-damaging combos for one (bin, partial) class.
+def _balance(
+    row_lists: Sequence[int],
+    candidates: Sequence[Sequence[int]],
+    capacity: Sequence[int],
+) -> List[int]:
+    """The combo each row takes; ``row_lists[i]`` is row ``i``'s list.
 
-    Returns ``(tied_best_combo_indices, clean)``; ``clean`` means those
-    choices add no new CC contribution.  Untouched rows with no clean
-    choice return ``([], False)`` — they become invalid tuples.
+    Rows go in order.  A row takes its list's candidate with the lowest
+    ``(load + 1) / capacity``, the lowest combo on ties, exactly as a
+    ``min`` scan over the ascending list would.  One lazy min-heap per
+    list holds one ``(key, combo, load_at_push)`` entry per candidate.
+    Loads only grow, so a stale entry's key is never above its true key:
+    re-keying stale tops until the top is fresh leaves the scan's pick
+    on top.  The float expression is the scan's, so float-rounding ties
+    break the same way.
     """
-    candidates = [
-        c
-        for c, combo in enumerate(catalog.combos)
-        if all(catalog.as_dict(combo).get(a) == v for a, v in partial.items())
-    ]
-    if not candidates:
-        return [], False
-
-    partial_keys = set(partial)
-    damage = np.zeros(num_combos, dtype=np.int64)
-    for split, disjunct_bin_match in zip(cc_splits, bin_match):
-        if not disjunct_bin_match.any():
-            continue  # no disjunct matches this bin on the R1 side
-        # Already guaranteed: some bin-matching disjunct's R2 condition is
-        # fully pinned (and satisfied) by the partial assignment alone.
-        # Unavoidable: some bin-matching disjunct has no R2 condition at
-        # all — the combo choice cannot change the contribution.
-        guaranteed = False
-        satisfied = np.zeros(num_combos, dtype=bool)
-        for matches_bin, (r1_part, r2_part, combo_match) in zip(
-            disjunct_bin_match, split
-        ):
-            if not matches_bin:
-                continue
-            if r2_part.is_trivial or (
-                r2_part.attributes <= partial_keys
-                and r2_part.matches_row(partial)
-            ):
-                guaranteed = True
-                break
-            satisfied |= combo_match
-        if not guaranteed:
-            damage += satisfied
-
-    candidate_damage = damage[candidates]
-    best_damage = int(candidate_damage.min())
-    if untouched and best_damage > 0:
-        return [], False
-    tied = [
-        c for c, d in zip(candidates, candidate_damage) if d == best_damage
-    ]
-    return tied, best_damage == 0
-
+    load = [0] * len(capacity)
+    heaps = [[(1 / capacity[c], c, 0) for c in cands] for cands in candidates]
+    for heap in heaps:
+        heapq.heapify(heap)
+    picks = []
+    for list_id in row_lists:
+        heap = heaps[list_id]
+        _, c, seen = heap[0]
+        while seen != load[c]:
+            heapq.heapreplace(heap, ((load[c] + 1) / capacity[c], c, load[c]))
+            _, c, seen = heap[0]
+        load[c] += 1
+        heapq.heapreplace(heap, ((load[c] + 1) / capacity[c], c, load[c]))
+        picks.append(c)
+    return picks

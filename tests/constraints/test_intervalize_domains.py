@@ -34,13 +34,14 @@ class TestDomainWidening:
         assert binning.intervals("Age")[0].lo == 30
         assert binning.intervals("Age")[-1].hi == 40
 
-    def test_out_of_domain_value_rejected(self):
+    @pytest.mark.parametrize("age", [10, 90])
+    def test_out_of_domain_value_rejected(self, age):
         r1 = _r1([30, 40])
         cc = parse_cc("|Age in [32, 35] & Area == 'X'| = 1")
         binning = build_binning(r1, ["Age"], [cc])
-        lower = _r1([10])  # below the binning's first start point
+        outside = _r1([age])  # below the first start point or above hi
         with pytest.raises(ConstraintError):
-            binning.bin_keys(lower)
+            binning.bin_keys(outside)
 
     def test_endpoints_outside_domain_fall_back_to_values(self):
         r1 = _r1([30, 40])

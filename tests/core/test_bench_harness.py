@@ -23,6 +23,8 @@ class TestRunners:
         assert row.total_seconds == pytest.approx(
             row.phase1_seconds + row.phase2_seconds
         )
+        # Filled from Phase1Stats: leftover completion always runs.
+        assert row.completion_seconds > 0.0
         assert len(row.per_cc_errors) == len(census_good_ccs)
 
     def test_run_baseline_row(self, census_small, census_good_ccs):
