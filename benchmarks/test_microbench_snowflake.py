@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,14 +101,15 @@ def _wide_star(n_dim: int, arms: int, seed: int = 7):
 def test_microbench_snowflake():
     db, constraints = _wide_star(DIM_ROWS, ARMS)
     config = SolverConfig(evaluate=False)
-    synth = SnowflakeSynthesizer(config)
 
     started = time.perf_counter()
-    sequential = synth.solve(db, "F", constraints)
+    sequential = SnowflakeSynthesizer(config).solve(db, "F", constraints)
     sequential_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = synth.solve(db, "F", constraints, workers=WORKERS)
+    parallel = SnowflakeSynthesizer(replace(config, workers=WORKERS)).solve(
+        db, "F", constraints
+    )
     parallel_s = time.perf_counter() - started
 
     # Determinism is part of the bench contract, not just the tests.

@@ -3,7 +3,8 @@
 The snowflake traversal (Section 5.2) walks FK edges breadth-first, but
 edges in one BFS layer whose read/write relation sets are disjoint are
 independent subproblems.  This module provides the process-pool leg of
-that scheduler:
+that scheduler; the pool itself, and the merge of results in BFS order,
+live in :meth:`repro.core.snowflake.SnowflakeSynthesizer.solve`:
 
 * :func:`solve_edge` — the single-edge solve both the sequential and the
   parallel paths share (per-edge strategy + solver overrides applied);
@@ -12,23 +13,13 @@ that scheduler:
   two relations the edge's solve touches (its extended view and its
   parent), never the :class:`~repro.relational.database.Database`; the
   worker rebuilds the relations losslessly and returns the full
-  :class:`~repro.core.synthesizer.CExtensionResult`;
-* :func:`solve_batch` — fan a conflict-free batch out on an executor and
-  return results in batch (= BFS) order, so the caller's merge is
-  deterministic and byte-identical to the sequential traversal.
+  :class:`~repro.core.synthesizer.CExtensionResult`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.config import SolverConfig
 from repro.core.synthesizer import CExtensionResult, CExtensionSolver
@@ -36,14 +27,11 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from concurrent.futures import Executor
-
     from repro.core.snowflake import EdgeConstraints
 
 __all__ = [
     "EdgePayload",
     "edge_payload",
-    "solve_batch",
     "solve_edge",
     "solve_edge_payload",
 ]
@@ -148,35 +136,3 @@ def solve_edge_payload(payload: EdgePayload) -> CExtensionResult:
     extended = Relation(ext_schema, ext_columns)
     parent = Relation(parent_schema, parent_columns)
     return solve_edge(extended, parent, fk_column, constraints, config)
-
-
-def solve_batch(
-    payloads: Sequence[EdgePayload],
-    executor: Optional["Executor"] = None,
-    on_result: Optional[Callable[[int, CExtensionResult], None]] = None,
-) -> List[CExtensionResult]:
-    """Solve a conflict-free batch, preserving payload (= BFS) order.
-
-    With no executor — or a single-edge batch, where fan-out buys
-    nothing — the batch is solved in-process.  ``on_result`` is the
-    progress-callback hook: it fires with ``(batch_index, result)`` as
-    each edge's result lands (in batch order), which is what streams
-    per-edge progress events out of a long parallel batch instead of
-    one notification at the barrier.
-    """
-    if executor is None or len(payloads) < 2:
-        results = []
-        for index, payload in enumerate(payloads):
-            result = solve_edge_payload(payload)
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        return results
-    results = []
-    for index, result in enumerate(
-        executor.map(solve_edge_payload, payloads)
-    ):
-        if on_result is not None:
-            on_result(index, result)
-        results.append(result)
-    return results

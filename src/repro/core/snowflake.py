@@ -21,30 +21,26 @@ the caller's database exactly as it was.  It is also (optionally)
 disjoint (``Database.conflict_free_batches``) are solved concurrently on
 a process pool, with results merged back in BFS order so the completed
 database is byte-identical to the sequential traversal's.
+
+It is the only traversal in the library.  :func:`repro.spec.synthesize`
+runs it as is; the service's :func:`repro.service.engine.run_spec` runs
+it with :class:`EdgeHooks` that splice cached edges instead of solving
+them and checkpoint each solved edge as it is committed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.core.config import SolverConfig
 from repro.core.parallel_snowflake import (
     edge_payload,
-    solve_batch,
     solve_edge,
+    solve_edge_payload,
 )
 from repro.core.synthesizer import CExtensionResult
 from repro.errors import SchemaError
@@ -52,7 +48,12 @@ from repro.relational import join
 from repro.relational.database import Database, ForeignKey
 from repro.relational.relation import Relation
 
-__all__ = ["EdgeConstraints", "SnowflakeResult", "SnowflakeSynthesizer"]
+__all__ = [
+    "EdgeConstraints",
+    "EdgeHooks",
+    "SnowflakeResult",
+    "SnowflakeSynthesizer",
+]
 
 
 @dataclass
@@ -103,6 +104,37 @@ class SnowflakeResult:
     steps: List[Tuple[ForeignKey, CExtensionResult]] = field(
         default_factory=list
     )
+    #: Edges committed from an :meth:`EdgeHooks.lookup` hit instead of
+    #: solved, each with its hit, in traversal order.
+    spliced: List[Tuple[ForeignKey, Any]] = field(default_factory=list)
+
+
+class EdgeHooks:
+    """The traversal's per-edge seam; every method here does nothing.
+
+    For each conflict-free batch, :meth:`SnowflakeSynthesizer.solve`
+    first asks :meth:`lookup` about every edge.  A hit is an edge result
+    given as its raw parts — an object with ``fk_spec``, ``fk_values``
+    and ``parent`` attributes, such as the service's
+    :class:`~repro.service.cache.CachedEdge` — and is committed with
+    :meth:`SnowflakeSynthesizer.commit_edge`, then passed to
+    :meth:`spliced`.  The rest are solved: :meth:`started` runs before
+    each solve is started and :meth:`solved` after its result is
+    committed, as each result lands.
+    """
+
+    def lookup(self, fk: ForeignKey) -> Any:
+        """A precomputed result for ``fk``, or ``None`` to solve it."""
+        return None
+
+    def spliced(self, fk: ForeignKey, hit: Any) -> None:
+        """``fk`` was committed from :meth:`lookup`'s ``hit``."""
+
+    def started(self, fk: ForeignKey) -> None:
+        """``fk``'s solve is about to start."""
+
+    def solved(self, fk: ForeignKey, step: CExtensionResult) -> None:
+        """``fk`` was solved as ``step`` and committed."""
 
 
 class SnowflakeSynthesizer:
@@ -152,18 +184,6 @@ class SnowflakeSynthesizer:
             )
         return view
 
-    def _apply_step(
-        self, database: Database, fk: ForeignKey, step: CExtensionResult
-    ) -> None:
-        """Commit one solved edge: imputed FK column + extended parent."""
-        self.commit_edge(
-            database,
-            fk,
-            step.r1_hat.schema.spec(fk.column),
-            step.r1_hat.column(fk.column),
-            step.r2_hat,
-        )
-
     @staticmethod
     def commit_edge(
         database: Database,
@@ -207,9 +227,8 @@ class SnowflakeSynthesizer:
         fact_table: str,
         constraints: Mapping[Tuple[str, str], EdgeConstraints],
         *,
-        workers: Optional[int] = None,
         allow_unreachable: bool = False,
-        on_event: Optional[Callable[[Dict[str, object]], None]] = None,
+        hooks: Optional[EdgeHooks] = None,
     ) -> SnowflakeResult:
         """Impute every declared FK, BFS outward from ``fact_table``.
 
@@ -219,22 +238,16 @@ class SnowflakeSynthesizer:
         copy, returned in :attr:`SnowflakeResult.database`, so a failing
         edge leaves the caller's state untouched.
 
-        ``workers`` (default: ``config.workers``) sizes the process pool
-        used to solve conflict-free edges of one BFS layer concurrently;
-        ``0``/``1`` keeps the traversal fully in-process.  Parallel runs
-        are byte-identical to sequential ones.  Declared FK edges the BFS
+        ``config.workers`` sizes the process pool used to solve
+        conflict-free edges of one BFS layer concurrently; ``0``/``1``
+        keeps the traversal fully in-process.  Parallel runs are
+        byte-identical to sequential ones.  Declared FK edges the BFS
         cannot reach would silently never be solved, so they raise
         :class:`SchemaError` unless ``allow_unreachable=True`` opts into
         an intentionally partial run.
 
-        ``on_event`` is the progress hook the serving layer builds on: it
-        receives ``{"type": "edge_started", ...}`` before each edge's
-        solve and ``{"type": "edge_solved", ..., "wall_s", "solve_s"}``
-        as each result lands (streamed mid-batch on parallel runs, via
-        :func:`repro.core.parallel_snowflake.solve_batch`'s
-        ``on_result`` hook).  Exceptions from the callback propagate and
-        abort the traversal — the transactional copy keeps the caller's
-        database intact.
+        ``hooks`` (default: :class:`EdgeHooks`, which does nothing) is
+        consulted per edge; exceptions it raises abort the traversal.
         """
         layers = database.bfs_edge_layers(fact_table)
         reachable = {
@@ -259,108 +272,82 @@ class SnowflakeSynthesizer:
                 "intentionally partial run)"
             )
 
-        if workers is None:
-            workers = self.config.workers
+        if hooks is None:
+            hooks = EdgeHooks()
+        workers = self.config.workers
         serialized = {
             key for key, ec in constraints.items() if ec.serialize
         }
-
-        total_edges = sum(len(layer) for layer in layers)
-        solved_count = 0
-
-        def emit(kind: str, fk: ForeignKey, **extra: object) -> None:
-            if on_event is None:
-                return
-            event: Dict[str, object] = {
-                "type": kind,
-                "edge": f"{fk.child}.{fk.column} -> {fk.parent}",
-                "child": fk.child,
-                "column": fk.column,
-                "parent": fk.parent,
-                "total_edges": total_edges,
-            }
-            event.update(extra)
-            on_event(event)
-
-        def emit_solved(fk: ForeignKey, step: CExtensionResult) -> None:
-            nonlocal solved_count
-            solved_count += 1
-            emit(
-                "edge_solved",
-                fk,
-                index=solved_count,
-                wall_s=step.report.wall_seconds,
-                solve_s=step.report.total_seconds,
-                new_parent_tuples=step.phase2.stats.num_new_r2_tuples,
-            )
-
         work = database.copy()
         result = SnowflakeResult(database=work)
         completed: Set[Tuple[str, str]] = set()
+
+        def edge_inputs(fk: ForeignKey) -> tuple:
+            """``solve_edge``'s arguments for ``fk`` against ``work``."""
+            return (
+                self._extended_view(work, fk.child, completed),
+                work.relation(fk.parent),
+                fk.column,
+                constraints.get((fk.child, fk.column), EdgeConstraints()),
+                self.config,
+            )
+
+        def commit(fk: ForeignKey, step: CExtensionResult) -> None:
+            self.commit_edge(
+                work,
+                fk,
+                step.r1_hat.schema.spec(fk.column),
+                step.r1_hat.column(fk.column),
+                step.r2_hat,
+            )
+            completed.add((fk.child, fk.column))
+            result.steps.append((fk, step))
+            hooks.solved(fk, step)
+
         pool: Optional[ProcessPoolExecutor] = None
         try:
             for layer in layers:
                 for batch in work.conflict_free_batches(
                     layer, completed, serialize=serialized
                 ):
-                    constraints_of = {
-                        (fk.child, fk.column): constraints.get(
-                            (fk.child, fk.column), EdgeConstraints()
+                    # Hits may be committed before their batch mates
+                    # solve: no edge of a conflict-free batch reads or
+                    # writes another member's relations.
+                    misses = []
+                    for fk in batch:
+                        hit = hooks.lookup(fk)
+                        if hit is None:
+                            misses.append(fk)
+                            continue
+                        self.commit_edge(
+                            work, fk, hit.fk_spec, hit.fk_values, hit.parent
                         )
-                        for fk in batch
-                    }
-                    if len(batch) < 2 or workers < 2:
+                        completed.add((fk.child, fk.column))
+                        result.spliced.append((fk, hit))
+                        hooks.spliced(fk, hit)
+                    if len(misses) < 2 or workers < 2:
                         # In-process: solve edge by edge, committing each
                         # before building the next extended view (edges
                         # in one batch never read each other's writes, so
                         # this matches the snapshot semantics below).
-                        steps = []
-                        for fk in batch:
-                            emit("edge_started", fk)
-                            step = solve_edge(
-                                self._extended_view(
-                                    work, fk.child, completed
-                                ),
-                                work.relation(fk.parent),
-                                fk.column,
-                                constraints_of[(fk.child, fk.column)],
-                                self.config,
-                            )
-                            self._apply_step(work, fk, step)
-                            completed.add((fk.child, fk.column))
-                            emit_solved(fk, step)
-                            steps.append(step)
-                        result.steps.extend(zip(batch, steps))
+                        for fk in misses:
+                            hooks.started(fk)
+                            commit(fk, solve_edge(*edge_inputs(fk)))
                         continue
                     # Fan out: every edge solves against the batch-start
-                    # snapshot; results merge back in BFS order.
+                    # snapshot.  Results land in BFS order and each is
+                    # committed as it lands, so an edge that fails keeps
+                    # the batch mates ahead of it.
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
                     payloads = []
-                    for fk in batch:
-                        emit("edge_started", fk)
-                        payloads.append(
-                            edge_payload(
-                                self._extended_view(
-                                    work, fk.child, completed
-                                ),
-                                work.relation(fk.parent),
-                                fk.column,
-                                constraints_of[(fk.child, fk.column)],
-                                self.config,
-                            )
-                        )
-                    steps = solve_batch(
-                        payloads,
-                        pool,
-                        on_result=lambda i, step, batch=batch: emit_solved(
-                            batch[i], step
-                        ),
-                    )
-                    for fk, step in zip(batch, steps):
-                        self._apply_step(work, fk, step)
-                        completed.add((fk.child, fk.column))
-                    result.steps.extend(zip(batch, steps))
+                    for fk in misses:
+                        hooks.started(fk)
+                        payloads.append(edge_payload(*edge_inputs(fk)))
+                    for fk, step in zip(
+                        misses, pool.map(solve_edge_payload, payloads)
+                    ):
+                        commit(fk, step)
         finally:
             if pool is not None:
                 pool.shutdown()

@@ -16,10 +16,11 @@ Two context managers wrap the per-edge solve
   pipeline to catch, shrink and reproduce — the fuzzer testing itself.
 
 Both patch every module that holds a reference to ``solve_edge``
-(:mod:`repro.core.parallel_snowflake`, :mod:`repro.core.snowflake`,
-:mod:`repro.service.engine`), so they cover the sequential traversal
-and the service engine alike.  They are **in-process only**: a patch
-never reaches pool workers, so injected runs must use ``workers = 0``.
+(:mod:`repro.core.parallel_snowflake`, :mod:`repro.core.snowflake`).
+``synthesize()`` and the service's ``run_spec`` run the one traversal in
+:mod:`repro.core.snowflake`, so one patch covers both.  They are
+**in-process only**: a patch never reaches pool workers, so injected
+runs must use ``workers = 0``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ import numpy as np
 from repro.core import parallel_snowflake, snowflake
 from repro.errors import SolverError
 from repro.relational.relation import Relation
-from repro.service import engine as service_engine
 
 __all__ = ["InjectedFault", "failing_solver", "chaos_edge"]
 
 #: Every module whose global namespace holds a ``solve_edge`` reference.
-_PATCH_SITES = (parallel_snowflake, snowflake, service_engine)
+_PATCH_SITES = (parallel_snowflake, snowflake)
 
 
 class InjectedFault(SolverError):

@@ -7,12 +7,7 @@ file (:func:`load_spec`), builds fluently (:class:`SpecBuilder`), and
 executes with :func:`synthesize`.
 """
 
-from repro.spec.api import (
-    EdgeReport,
-    SynthesisResult,
-    plan_edges,
-    synthesize,
-)
+from repro.spec.api import EdgeReport, SynthesisResult, synthesize
 from repro.spec.builder import SpecBuilder
 from repro.spec.discover import discover_spec
 from repro.spec.fingerprint import (
@@ -34,7 +29,6 @@ __all__ = [
     "discover_spec",
     "edge_fingerprints",
     "load_spec",
-    "plan_edges",
     "result_options",
     "save_spec",
     "synthesize",

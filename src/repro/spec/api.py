@@ -14,10 +14,14 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.metrics import ErrorReport
-from repro.core.snowflake import EdgeConstraints, SnowflakeSynthesizer
+from repro.core.snowflake import (
+    EdgeConstraints,
+    SnowflakeResult,
+    SnowflakeSynthesizer,
+)
 from repro.core.synthesizer import CExtensionResult
 from repro.relational.database import Database, ForeignKey
 from repro.relational.relation import Relation
@@ -28,8 +32,8 @@ __all__ = [
     "SynthesisResult",
     "edge_constraint_map",
     "edge_report",
-    "plan_edges",
     "spill_guard",
+    "synthesis_result",
     "synthesize",
 ]
 
@@ -218,17 +222,6 @@ def spill_guard(spec: SynthesisSpec) -> Iterator[None]:
         raise
 
 
-def plan_edges(spec: SynthesisSpec, database: Database) -> List[ForeignKey]:
-    """The FK-edge solve order: BFS outward from the fact table.
-
-    Purely a planner: the unreachable-edge invariant (a declared edge
-    the BFS cannot reach would silently never be solved) is owned and
-    enforced by :meth:`SnowflakeSynthesizer.solve`, which also offers
-    the ``allow_unreachable`` opt-out for intentionally partial runs.
-    """
-    return database.bfs_edges(spec.fact())
-
-
 def edge_constraint_map(
     spec: SynthesisSpec,
 ) -> Dict[Tuple[str, str], EdgeConstraints]:
@@ -273,12 +266,45 @@ def edge_report(
     )
 
 
+def synthesis_result(
+    spec: SynthesisSpec,
+    constraints: Mapping[Tuple[str, str], EdgeConstraints],
+    flake: SnowflakeResult,
+) -> SynthesisResult:
+    """``spec``'s result from its traversal: one report per edge.
+
+    Reports come in BFS order.  A solved edge reports its solve; an edge
+    the traversal spliced from an :class:`~repro.core.snowflake.EdgeHooks`
+    hit (a service edge-cache entry) replays the report stored with the
+    hit, flagged ``cache_hit=True``.
+    """
+    reports: Dict[Tuple[str, str], EdgeReport] = {}
+    for fk, step in flake.steps:
+        key = (fk.child, fk.column)
+        reports[key] = edge_report(
+            fk, step, constraints.get(key, EdgeConstraints())
+        )
+    for fk, hit in flake.spliced:
+        reports[(fk.child, fk.column)] = EdgeReport.from_payload(
+            hit.report, cache_hit=True
+        )
+    return SynthesisResult(
+        spec=spec,
+        database=flake.database,
+        edges=[
+            reports[(fk.child, fk.column)]
+            for fk in flake.database.bfs_edges(spec.fact())
+        ],
+        steps=flake.steps,
+    )
+
+
 def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Execute a declarative workload end to end.
 
-    Builds the database, plans the edge order, and solves every FK edge
-    with its declared constraint sets and Phase-II strategy.  Two-table
-    workloads are simply one-edge snowflakes.
+    Builds the database and solves every FK edge, BFS outward from the
+    fact table, with its declared constraint sets and Phase-II strategy.
+    Two-table workloads are simply one-edge snowflakes.
     """
     spec.validate()
     with spill_guard(spec):
@@ -287,12 +313,4 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         flake = SnowflakeSynthesizer(spec.options).solve(
             database, spec.fact(), constraints
         )
-
-    result = SynthesisResult(spec=spec, database=flake.database)
-    for fk, step in flake.steps:
-        edge_constraints = constraints.get(
-            (fk.child, fk.column), EdgeConstraints()
-        )
-        result.steps.append((fk, step))
-        result.edges.append(edge_report(fk, step, edge_constraints))
-    return result
+    return synthesis_result(spec, constraints, flake)

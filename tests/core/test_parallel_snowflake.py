@@ -126,9 +126,10 @@ class TestParallelEquivalence:
     def test_workers_output_byte_identical(self, arms, seed):
         """workers=2 equals workers=1 on random snowflake workloads."""
         db, constraints = _build_workload(arms, seed)
-        synth = SnowflakeSynthesizer()
-        sequential = synth.solve(db, "F", constraints)
-        parallel = synth.solve(db, "F", constraints, workers=2)
+        sequential = SnowflakeSynthesizer().solve(db, "F", constraints)
+        parallel = SnowflakeSynthesizer(SolverConfig(workers=2)).solve(
+            db, "F", constraints
+        )
         assert_databases_equal(sequential.database, parallel.database)
         assert [fk for fk, _ in sequential.steps] == [
             fk for fk, _ in parallel.steps
@@ -146,9 +147,10 @@ class TestParallelEquivalence:
                 capacity=constraints[edge].capacity,
                 serialize=True,
             )
-        synth = SnowflakeSynthesizer()
-        sequential = synth.solve(db, "F", constraints)
-        parallel = synth.solve(db, "F", constraints, workers=2)
+        sequential = SnowflakeSynthesizer().solve(db, "F", constraints)
+        parallel = SnowflakeSynthesizer(SolverConfig(workers=2)).solve(
+            db, "F", constraints
+        )
         assert_databases_equal(sequential.database, parallel.database)
 
     def test_config_workers_knob_is_the_default(self):

@@ -11,11 +11,15 @@ to (a) hit every checkpointed edge and (b) finish byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InfeasibleError
+from repro.service import engine
 from repro.service.cache import EdgeCache
 from repro.service.engine import SynthesisCancelled, run_spec
 from repro.spec import SpecBuilder, synthesize
@@ -90,6 +94,10 @@ def build_workload_spec(arms, seed, **options):
             kwargs["ccs"] = [f"|X{i} == 1 & C{i} == 'c0'| = 2"]
         elif flavor == "dc":
             kwargs["dcs"] = [f"not(t1.X{i} == 0 & t2.X{i} == 2)"]
+        elif flavor == "infeasible":
+            # A hard CC no dimension of <= 8 rows can meet.
+            kwargs["ccs"] = [f"|X{i} == 1 & C{i} == 'c0'| = 100"]
+            kwargs["solver"] = {"soft_ccs": False, "force_ilp": True}
         builder.edge(dim, f"fk_s{i}", sub, **kwargs)
     builder.fact_table("F")
     if options:
@@ -103,32 +111,59 @@ class TestEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(arms=ARMS, seed=st.integers(min_value=0, max_value=2**16))
+    @given(
+        arms=ARMS,
+        seed=st.integers(min_value=0, max_value=2**16),
+        workers=st.sampled_from([0, 2]),
+    )
     def test_cold_warm_and_resumed_runs_identical(
-        self, tmp_path_factory, arms, seed
+        self, tmp_path_factory, arms, seed, workers
     ):
         """Hits or misses, run_spec == synthesize, byte for byte."""
         tmp = tmp_path_factory.mktemp("cache")
         cold = synthesize(build_workload_spec(arms, seed))
         cache = EdgeCache(tmp / "c")
-        first = run_spec(build_workload_spec(arms, seed), cache=cache)
+        first = run_spec(
+            build_workload_spec(arms, seed, workers=workers), cache=cache
+        )
         assert_identical(first.database, cold.database)
         assert not any(e.cache_hit for e in first.edges)
-        warm = run_spec(build_workload_spec(arms, seed), cache=cache)
+        warm = run_spec(
+            build_workload_spec(arms, seed, workers=workers), cache=cache
+        )
         assert_identical(warm.database, cold.database)
         assert all(e.cache_hit for e in warm.edges)
         # A fresh cache instance on the same directory — i.e. a fresh
         # process — replays from disk alone.
         resumed = run_spec(
-            build_workload_spec(arms, seed), cache=EdgeCache(tmp / "c")
+            build_workload_spec(arms, seed, workers=workers),
+            cache=EdgeCache(tmp / "c"),
         )
         assert_identical(resumed.database, cold.database)
         assert all(e.cache_hit for e in resumed.edges)
 
-    def test_cacheless_run_matches_synthesize(self):
+    def test_cacheless_run_matches_synthesize(self, monkeypatch):
+        def no_fingerprints(*args, **kwargs):
+            raise AssertionError("a cacheless run fingerprinted its inputs")
+
+        monkeypatch.setattr(engine, "edge_fingerprints", no_fingerprints)
         spec = build_workload_spec([(5, 2, True, "cc")], seed=3)
+        served = run_spec(spec)
         cold = synthesize(build_workload_spec([(5, 2, True, "cc")], seed=3))
-        assert_identical(run_spec(spec).database, cold.database)
+        assert_identical(served.database, cold.database)
+
+        def untimed(report):
+            return replace(
+                report,
+                phase1_seconds=0.0,
+                phase2_seconds=0.0,
+                wall_seconds=0.0,
+            )
+
+        assert [untimed(e) for e in served.edges] == [
+            untimed(e) for e in cold.edges
+        ]
+        assert not any(e.cache_hit for e in served.edges)
 
     def test_parallel_run_uses_and_fills_cache(self, tmp_path):
         arms = [(6, 2, True, "dc"), (7, 3, True, "capacity")]
@@ -223,6 +258,23 @@ class TestCrashResume:
         assert sum(e.cache_hit for e in resumed.edges) == 2
         assert sum(not e.cache_hit for e in resumed.edges) == 2
         assert_identical(resumed.database, cold.database)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failing_edge_keeps_solved_batch_mates(self, tmp_path, workers):
+        """D1.fk_s1 fails in the batch it shares with D0.fk_s0 (pooled at
+        workers=2); the solved D0.fk_s0 is still checkpointed."""
+        arms = [(6, 2, True, "plain"), (6, 2, True, "infeasible")]
+        events = []
+        with pytest.raises(InfeasibleError):
+            run_spec(
+                build_workload_spec(arms, seed=4, workers=workers),
+                cache=EdgeCache(tmp_path / "c"),
+                on_event=events.append,
+            )
+        solved = [e["edge"] for e in events if e["type"] == "edge_solved"]
+        assert "D0.fk_s0 -> S0" in solved
+        assert "D1.fk_s1 -> S1" not in solved
+        assert len(EdgeCache(tmp_path / "c")) == 3
 
     def test_cancellation_between_edges(self, tmp_path):
         arms = [(6, 2, True, "plain"), (5, 2, False, "plain")]

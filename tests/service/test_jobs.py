@@ -6,9 +6,24 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SchemaError
+from repro.service.engine import run_spec
 from repro.service.jobs import JobManager, JobNotFound
 from repro.spec import SpecBuilder, synthesize
+
+
+def orphan_spec():
+    """A spec whose B -> C edge hangs off nothing the fact table
+    reaches."""
+    return (
+        SpecBuilder("orphan")
+        .relation("A", columns={"aid": [1]}, key="aid")
+        .relation("B", columns={"bid": [1]}, key="bid")
+        .relation("C", columns={"cid": [1]}, key="cid")
+        .edge("B", "fk_c", "C")
+        .fact_table("A")
+        .build()
+    )
 
 
 def small_spec(name="job-spec", shift=0):
@@ -67,23 +82,20 @@ class TestLifecycle:
 
     def test_failed_job_reports_error(self, tmp_path):
         manager = JobManager(tmp_path / "jobs", worker_budget=1)
-        # The B -> C edge hangs off nothing the fact table reaches.
-        bad = (
-            SpecBuilder("orphan")
-            .relation("A", columns={"aid": [1]}, key="aid")
-            .relation("B", columns={"bid": [1]}, key="bid")
-            .relation("C", columns={"cid": [1]}, key="cid")
-            .edge("B", "fk_c", "C")
-            .fact_table("A")
-            .build()
-        )
-        job_id = manager.submit(bad)
+        job_id = manager.submit(orphan_spec())
         status = manager.wait(job_id, timeout=120)
         assert status["state"] == "failed"
         assert "unreachable" in status["error"]
         with pytest.raises(ReproError):
             manager.result(job_id)
         manager.close()
+
+    def test_unreachable_edge_error_matches_synthesize(self):
+        with pytest.raises(SchemaError) as direct:
+            synthesize(orphan_spec())
+        with pytest.raises(SchemaError) as served:
+            run_spec(orphan_spec())
+        assert str(served.value) == str(direct.value)
 
     def test_unknown_job(self, tmp_path):
         manager = JobManager(tmp_path / "jobs")
