@@ -61,7 +61,6 @@ def baseline_solve(
     ccs: Sequence[CardinalityConstraint] = (),
     dcs: Sequence[DenialConstraint] = (),
     with_marginals: bool = False,
-    backend: str = "scipy",
     seed: int = 0,
     compute_errors: bool = True,
 ) -> BaselineResult:
@@ -85,7 +84,6 @@ def baseline_solve(
         assignment,
         marginals="all" if with_marginals else "none",
         soft_ccs=True,
-        backend=backend,
     )
     randomly_filled = 0
     if catalog.combos:

@@ -68,7 +68,6 @@ def run(
         rows,
         storage=storage,
         chunk_rows=chunk_rows,
-        memory_budget_mb=budget_mb,
         evaluate=False,
         seed=seed,
     )

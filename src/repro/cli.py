@@ -121,7 +121,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _spec_from_legacy_flags(args: argparse.Namespace) -> SynthesisSpec:
     """The shim: legacy two-table flags become a one-edge spec."""
     ccs, dcs = load_constraints(Path(args.constraints))
-    builder = (
+    return (
         SpecBuilder("legacy-two-table")
         .relation("r1", csv=args.r1, key=args.r1_key or None)
         .relation("r2", csv=args.r2, key=args.r2_key)
@@ -134,22 +134,20 @@ def _spec_from_legacy_flags(args: argparse.Namespace) -> SynthesisSpec:
             capacity=args.capacity,
         )
         .fact_table("r1")
-        .options(backend=args.backend or "scipy")
+        .build()
     )
-    return builder.build()
 
 
 def _with_cli_options(
     spec: SynthesisSpec, args: argparse.Namespace
 ) -> SynthesisSpec:
     """Apply the option-override flags (``--workers``, ``--storage``,
-    ``--chunk-rows``, ``--memory-budget-mb``); bad
-    values get the CLI's clean error path, naming the offending flag."""
+    ``--chunk-rows``); bad values get the CLI's clean error path, naming
+    the offending flag."""
     overrides = (
         ("--workers", "workers", args.workers),
         ("--storage", "storage", args.storage or None),
         ("--chunk-rows", "chunk_rows", args.chunk_rows),
-        ("--memory-budget-mb", "memory_budget_mb", args.memory_budget_mb),
     )
     for flag, knob, value in overrides:
         if value is None:
@@ -198,7 +196,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ("--constraints", args.constraints),
             ("--r1-key", args.r1_key),
             ("--r2-key", args.r2_key),
-            ("--backend", args.backend),
             ("--capacity", args.capacity),
         )
         if value not in ("", None)
@@ -448,8 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--constraints", default="")
     solve.add_argument("--r1-key", default="", dest="r1_key")
     solve.add_argument("--r2-key", default="", dest="r2_key")
-    solve.add_argument("--backend", choices=("scipy", "native"),
-                       default="")
     solve.add_argument("--capacity", type=int, default=None,
                        help="cap rows per FK key (capacity strategy)")
     solve.add_argument("--workers", type=int, default=None,
@@ -463,10 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--chunk-rows", type=int, default=None,
                        dest="chunk_rows",
                        help="rows per chunk for --storage mmap")
-    solve.add_argument("--memory-budget-mb", type=int, default=None,
-                       dest="memory_budget_mb",
-                       help="advisory peak-RSS budget recorded in the "
-                       "summary (enforced by the out-of-core benchmarks)")
     solve.set_defaults(func=_cmd_solve)
 
     disc = sub.add_parser(

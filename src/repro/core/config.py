@@ -12,7 +12,8 @@ __all__ = ["SolverConfig"]
 class SolverConfig:
     """Knobs for the end-to-end C-Extension solver.
 
-    * ``backend`` — ``"scipy"`` (HiGHS) or ``"native"`` (own simplex+B&B).
+    Every Phase-I ILP is solved by HiGHS (:func:`repro.solver.solve_model`).
+
     * ``marginals`` — marginal augmentation for the ILP leg: ``"relevant"``
       (hybrid's modified marginals, the default), ``"all"`` (Section 4.1
       all-way marginals) or ``"none"``.
@@ -34,14 +35,10 @@ class SolverConfig:
       chunked on-disk column stores and streams the kernels chunk-by-chunk
       (out-of-core synthesis; same output, bounded memory).
     * ``chunk_rows`` — rows per chunk for the ``"mmap"`` storage backend.
-    * ``memory_budget_mb`` — advisory peak-RSS budget recorded alongside
-      results and enforced by the out-of-core benchmarks (``None`` = no
-      budget).
     * ``storage_dir`` — directory for the on-disk column stores (``None``
       = a temporary directory per relation).
     """
 
-    backend: str = "scipy"
     marginals: str = "relevant"
     soft_ccs: bool = True
     force_ilp: bool = False
@@ -52,18 +49,13 @@ class SolverConfig:
     mip_gap: Optional[float] = None
     storage: str = "numpy"
     chunk_rows: int = 262_144
-    memory_budget_mb: Optional[int] = None
     storage_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("scipy", "native"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.storage not in ("numpy", "mmap"):
             raise ValueError(f"unknown storage backend {self.storage!r}")
         if self.chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise ValueError("memory_budget_mb must be positive (or None)")
         if self.marginals not in ("all", "relevant", "none"):
             raise ValueError(f"unknown marginals mode {self.marginals!r}")
         if self.workers < 0:

@@ -65,7 +65,7 @@ class EdgeConstraints:
     strategy.  ``strategy`` names any registered strategy explicitly and
     overrides the capacity-implied default; ``options`` carries extra
     strategy knobs.  ``solver_overrides`` shadows individual
-    :class:`SolverConfig` fields (backend, time_limit, mip_gap, …) for
+    :class:`SolverConfig` fields (time_limit, mip_gap, marginals, …) for
     this edge only.  ``serialize`` opts the edge out of batch scheduling:
     it is always solved alone, in-process, even when it would be
     conflict-free with its layer mates.

@@ -135,7 +135,6 @@ class CExtensionSolver:
             r1_attrs=r1_attrs,
             marginals=config.marginals,
             soft_ccs=config.soft_ccs,
-            backend=config.backend,
             force_ilp=config.force_ilp,
             time_limit=config.time_limit,
             mip_gap=config.mip_gap,

@@ -184,7 +184,6 @@ def outofcore_spec(
     storage: str = "numpy",
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     storage_dir: Optional[str] = None,
-    memory_budget_mb: Optional[int] = None,
     evaluate: bool = False,
     seed: int = 0,
 ) -> SynthesisSpec:
@@ -226,7 +225,6 @@ def outofcore_spec(
             storage=storage,
             chunk_rows=chunk_rows,
             storage_dir=storage_dir,
-            memory_budget_mb=memory_budget_mb,
             evaluate=evaluate,
         )
         .build()

@@ -1,39 +1,39 @@
 """Deterministic solver-fault and result-corruption injection.
 
-Two context managers wrap the per-edge solve
-(:func:`repro.core.parallel_snowflake.solve_edge`) for the span of a
-``with`` block:
+Two context managers, active for the span of a ``with`` block:
 
-* :func:`failing_solver` — the Nth in-process edge solve raises
+* :func:`failing_solver` — the Nth in-process edge solve
+  (:func:`repro.core.parallel_snowflake.solve_edge`) raises
   :class:`InjectedFault`.  The oracle uses it to prove (a) that
   ``synthesize()`` is transactional — the failure propagates and no
   partially-synthesized database escapes — and (b) that a cache-backed
   :func:`repro.service.engine.run_spec` resumes from its per-edge
-  checkpoints to byte-identical output;
-* :func:`chaos_edge` — the Nth solve *succeeds* but its FK assignment
-  is deterministically corrupted (the column is rolled by one).  This
-  manufactures a real divergence for the oracle → minimizer → replay
+  checkpoints to byte-identical output.  It patches every module that
+  holds a ``solve_edge`` reference, and a pool worker solves with its own
+  copy of that patch and of its counter, so it is for ``workers = 0``
+  runs; the oracle's fault legs run on the baseline cell;
+* :func:`chaos_edge` — the Nth edge *commit*
+  (:meth:`repro.core.snowflake.SnowflakeSynthesizer.commit_edge`) has
+  its FK values rolled by one.  The run completes but its database
+  diverges from an uncorrupted run, for the oracle → minimizer → replay
   pipeline to catch, shrink and reproduce — the fuzzer testing itself.
+  Commits happen in the parent process in BFS order at any worker
+  count, so the same edge is corrupted whatever ``workers`` is.
 
-Both patch every module that holds a reference to ``solve_edge``
-(:mod:`repro.core.parallel_snowflake`, :mod:`repro.core.snowflake`).
 ``synthesize()`` and the service's ``run_spec`` run the one traversal in
-:mod:`repro.core.snowflake`, so one patch covers both.  They are
-**in-process only**: a patch never reaches pool workers, so injected
-runs must use ``workers = 0``.
+:mod:`repro.core.snowflake`, so each patch covers both.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Dict, Iterator
 
 import numpy as np
 
 from repro.core import parallel_snowflake, snowflake
+from repro.core.snowflake import SnowflakeSynthesizer
 from repro.errors import SolverError
-from repro.relational.relation import Relation
 
 __all__ = ["InjectedFault", "failing_solver", "chaos_edge"]
 
@@ -82,40 +82,30 @@ def failing_solver(fail_on: int) -> Iterator[Dict[str, int]]:
         yield counter
 
 
-def corrupt_step(step, fk_column: str):
-    """``step`` with its FK assignment rolled by one position.
-
-    A no-op when the child has fewer than two rows or every row was
-    assigned the same parent — callers that *need* a divergence should
-    pick their edge (or seed) accordingly.
-    """
-    columns = {
-        name: step.r1_hat.column(name)
-        for name in step.r1_hat.schema.names
-    }
-    columns[fk_column] = np.roll(columns[fk_column], 1)
-    return replace(step, r1_hat=Relation(step.r1_hat.schema, columns))
-
-
 @contextmanager
 def chaos_edge(corrupt_on: int) -> Iterator[Dict[str, int]]:
-    """Deterministically corrupt the ``corrupt_on``-th edge's output.
+    """Deterministically corrupt the ``corrupt_on``-th committed edge.
 
-    The solve itself succeeds; its FK column is rolled by one before the
-    result is committed, so the run completes but its database diverges
-    from an uncorrupted run — the induced bug the fuzz pipeline's
-    end-to-end test must catch, minimize and reproduce.
+    Counts commits from 0 in traversal order and yields the live counter
+    dict (``{"calls": n}``).  The solve itself succeeds; the FK values it
+    commits are rolled by one position — a no-op when the child has
+    fewer than two rows or every row got the same parent, so callers
+    that *need* a divergence should pick their edge (or seed)
+    accordingly.
     """
     counter = {"calls": 0}
-    original = parallel_snowflake.solve_edge
+    saved = SnowflakeSynthesizer.__dict__["commit_edge"]
+    commit = SnowflakeSynthesizer.commit_edge
 
-    def wrapper(extended, parent, fk_column, constraints, config):
+    def wrapper(database, fk, fk_spec, fk_values, r2_hat):
         index = counter["calls"]
         counter["calls"] += 1
-        step = original(extended, parent, fk_column, constraints, config)
         if index == corrupt_on:
-            step = corrupt_step(step, fk_column)
-        return step
+            fk_values = np.roll(fk_values, 1)
+        commit(database, fk, fk_spec, fk_values, r2_hat)
 
-    with _patched(wrapper):
+    SnowflakeSynthesizer.commit_edge = staticmethod(wrapper)
+    try:
         yield counter
+    finally:
+        SnowflakeSynthesizer.commit_edge = saved

@@ -29,10 +29,9 @@ then synthesise data to stress them:
 * ``mixed`` — all of the above, drawn at random (the default).
 
 Every edge independently mixes Phase-II strategies (``capacity``,
-``soft_capacity``, ``quota_coloring``), per-edge solver overrides
-(``backend``/``time_limit``/``mip_gap``) and ``serialize`` flags, so one
-fuzz run crosses the scheduler, the strategy suite and both solver
-backends at once.
+``soft_capacity``, ``quota_coloring``), a per-edge ``time_limit``
+solver override and ``serialize`` flags, so one fuzz run crosses the
+scheduler, the strategy suite and the limited ILP solve at once.
 """
 
 from __future__ import annotations
@@ -348,7 +347,6 @@ def _edge_knobs(
             options["default_quota"] = cap
     solver: Dict[str, object] = {}
     if rng.random() < profile.p_solver_override:
-        solver["backend"] = rng.choice(["native", "scipy"])
         if rng.random() < 0.5:
             solver["time_limit"] = 20.0
     serialize = rng.random() < profile.p_serialize

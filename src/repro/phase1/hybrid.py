@@ -123,7 +123,6 @@ def run_phase1(
     r1_attrs: Optional[Sequence[str]] = None,
     marginals: str = "relevant",
     soft_ccs: bool = True,
-    backend: str = "scipy",
     force_ilp: bool = False,
     time_limit: Optional[float] = None,
     mip_gap: Optional[float] = None,
@@ -197,7 +196,6 @@ def run_phase1(
             assignment,
             marginals=marginals,
             soft_ccs=soft_ccs,
-            backend=backend,
             time_limit=time_limit,
             mip_gap=mip_gap,
         )

@@ -64,7 +64,6 @@ def complete_with_ilp(
     *,
     marginals: str = "all",
     soft_ccs: bool = True,
-    backend: str = "scipy",
     binning: Optional[Binning] = None,
     time_limit: Optional[float] = None,
     mip_gap: Optional[float] = None,
@@ -184,9 +183,7 @@ def complete_with_ilp(
     # Solve.
     # ------------------------------------------------------------------
     started = time.perf_counter()
-    result = solve_model(
-        model, backend, time_limit=time_limit, mip_gap=mip_gap
-    )
+    result = solve_model(model, time_limit=time_limit, mip_gap=mip_gap)
     stats.solve_seconds = time.perf_counter() - started
     stats.solver_status = result.status.value
     stats.solver_objective = result.objective

@@ -1,10 +1,8 @@
-"""LP/ILP solving: model builder, native simplex + branch & bound, HiGHS."""
+"""LP/ILP solving: a small model builder and one HiGHS solve."""
 
-from repro.solver.branch_bound import branch_and_bound
 from repro.solver.model import Constraint, Model, Variable
 from repro.solver.result import SolveResult, SolveStatus
-from repro.solver.scipy_backend import scipy_solve
-from repro.solver.simplex import simplex_solve
+from repro.solver.scipy_backend import solve_model
 
 __all__ = [
     "Constraint",
@@ -12,27 +10,5 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "Variable",
-    "branch_and_bound",
-    "scipy_solve",
-    "simplex_solve",
     "solve_model",
 ]
-
-
-def solve_model(
-    model: Model,
-    backend: str = "scipy",
-    *,
-    time_limit=None,
-    mip_gap=None,
-) -> SolveResult:
-    """Solve ``model`` with the chosen backend (``"scipy"`` or ``"native"``).
-
-    ``time_limit`` (seconds) and ``mip_gap`` (relative optimality gap)
-    are honoured by both backends; ``None`` means unlimited/exact.
-    """
-    if backend == "scipy":
-        return scipy_solve(model, time_limit=time_limit, mip_gap=mip_gap)
-    if backend == "native":
-        return branch_and_bound(model, time_limit=time_limit, mip_gap=mip_gap)
-    raise ValueError(f"unknown solver backend {backend!r}")

@@ -2,7 +2,7 @@
 
 :class:`Model` accumulates variables (with bounds, integrality and
 objective coefficients) and linear constraints, then hands a dense matrix
-form to a backend.  The paper's Phase-I system is small after
+form to the solver.  The paper's Phase-I system is small after
 intervalization, so a dense representation is adequate; coefficient maps
 are stored sparsely until solve time.
 """

@@ -1,4 +1,4 @@
-"""Solver result types shared by all backends."""
+"""Solver result types."""
 
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ class SolveResult:
     status: SolveStatus
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    iterations: int = 0
-    nodes: int = 0  # branch-and-bound nodes explored (ILP only)
 
     @property
     def ok(self) -> bool:
@@ -41,7 +39,4 @@ class SolveResult:
 
     def __repr__(self) -> str:
         obj = "None" if self.objective is None else f"{self.objective:.6g}"
-        return (
-            f"SolveResult({self.status.value}, objective={obj}, "
-            f"iterations={self.iterations}, nodes={self.nodes})"
-        )
+        return f"SolveResult({self.status.value}, objective={obj})"

@@ -1,4 +1,4 @@
-"""scipy/HiGHS backend for LPs and MILPs.
+"""The one LP/MILP solve: HiGHS through :func:`scipy.optimize.milp`.
 
 The authors used PuLP's CBC; the closest widely available solver in this
 environment is HiGHS via :func:`scipy.optimize.milp`.  This module adapts a
@@ -7,17 +7,17 @@ environment is HiGHS via :func:`scipy.optimize.milp`.  This module adapts a
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.solver.model import Model
 from repro.solver.result import SolveResult, SolveStatus
 
-__all__ = ["scipy_solve"]
+__all__ = ["solve_model"]
 
 
-def scipy_solve(
+def solve_model(
     model: Model,
     *,
     time_limit: Optional[float] = None,
@@ -26,15 +26,16 @@ def scipy_solve(
     """Solve a model with :func:`scipy.optimize.milp` (HiGHS).
 
     ``time_limit`` (seconds) and ``mip_gap`` (relative MIP gap) map onto
-    HiGHS's ``time_limit`` / ``mip_rel_gap`` options; a limited solve
-    that still produced an integral incumbent returns ``FEASIBLE``.
+    HiGHS's ``time_limit`` / ``mip_rel_gap`` options; ``None`` means
+    unlimited / exact.  A limited solve that still produced an integral
+    incumbent returns ``FEASIBLE``.
     """
     from scipy import optimize, sparse
 
     a, b, senses, c, lower, upper = model.dense()
     n = model.num_variables
 
-    constraints = []
+    constraints: List[optimize.LinearConstraint] = []
     if model.num_constraints:
         lo = np.full(len(b), -np.inf)
         hi = np.full(len(b), np.inf)
@@ -53,20 +54,22 @@ def scipy_solve(
     for j in model.integer_indices:
         integrality[j] = 1
 
-    options = {}
+    options: Dict[str, float] = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if mip_gap is not None:
         options["mip_rel_gap"] = float(mip_gap)
 
-    result = optimize.milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=optimize.Bounds(lower, upper),
-        options=options,
-    )
+    def milp(objective: np.ndarray) -> optimize.OptimizeResult:
+        return optimize.milp(
+            c=objective,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=optimize.Bounds(lower, upper),
+            options=options,
+        )
 
+    result = milp(c)
     if result.x is not None and result.status in (0, 1):
         x = np.asarray(result.x, dtype=np.float64)
         for j in model.integer_indices:
@@ -74,9 +77,17 @@ def scipy_solve(
         status = (
             SolveStatus.OPTIMAL if result.status == 0 else SolveStatus.FEASIBLE
         )
-        return SolveResult(status, x=x, objective=float(c @ x), nodes=1)
+        return SolveResult(status, x=x, objective=float(c @ x))
     if result.status == 2:
         return SolveResult(SolveStatus.INFEASIBLE)
     if result.status == 3:
         return SolveResult(SolveStatus.UNBOUNDED)
+    if result.status == 4:
+        # HiGHS's "unbounded or infeasible": the zero objective settles
+        # which — a feasible point means the real objective is unbounded.
+        feasibility = milp(np.zeros(n)).status
+        if feasibility == 0:
+            return SolveResult(SolveStatus.UNBOUNDED)
+        if feasibility == 2:
+            return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.ITERATION_LIMIT)

@@ -10,7 +10,7 @@ The programmatic twin of the TOML/JSON spec file::
         .edge("Students", "major_id", "Majors",
               ccs=["|Year == 1 & MName == 'CS'| = 5"])
         .fact_table("Students")
-        .options(backend="native")
+        .options(workers=2)
         .build()
     )
     result = repro.synthesize(spec)
@@ -78,7 +78,7 @@ class SpecBuilder:
 
         ``strategy``/``options`` pick and parameterise the Phase-II
         strategy for this edge; ``solver`` shadows individual global
-        solver knobs (``backend``, ``time_limit``, ``mip_gap``, …);
+        solver knobs (``time_limit``, ``mip_gap``, ``marginals``, …);
         ``serialize=True`` keeps the edge out of parallel batches.
         """
         self._spec.edges.append(

@@ -19,9 +19,9 @@ inputs under identical options — the cache key of the service layer's
 edge-result cache, in the spirit of PartitionCache's variant caching.
 
 Options that cannot change the output (``workers``, ``storage``,
-``chunk_rows``, ``storage_dir``, ``memory_budget_mb``, ``evaluate``,
-per-edge ``serialize``) are excluded, so a cache entry survives
-re-submission under a different parallelism or storage configuration.
+``chunk_rows``, ``storage_dir``, ``evaluate``, per-edge ``serialize``)
+are excluded, so a cache entry survives re-submission under a different
+parallelism or storage configuration.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ __all__ = [
 ]
 
 #: The :class:`SolverConfig` knobs that can change the synthesized
-#: output.  Everything else (parallelism, storage backend, advisory
-#: budgets, evaluation) is guaranteed byte-identical and stays out of
-#: the fingerprint.
+#: output.  Everything else (parallelism, storage backend, evaluation)
+#: is guaranteed byte-identical and stays out of the fingerprint.
 RESULT_OPTION_FIELDS = (
-    "backend",
     "marginals",
     "soft_ccs",
     "force_ilp",
@@ -70,7 +68,6 @@ NON_RESULT_OPTION_FIELDS = (
     "evaluate",
     "storage",
     "chunk_rows",
-    "memory_budget_mb",
     "storage_dir",
 )
 

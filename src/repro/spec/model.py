@@ -229,7 +229,7 @@ class EdgeSpec:
     per-key usage via the ``"capacity"`` strategy, ``strategy`` names any
     registered stage explicitly, ``options`` holds the strategy-specific
     knobs (e.g. ``soft_capacity``'s ``penalty``), and ``solver`` carries
-    per-edge solver overrides (``backend``, ``time_limit``, ``mip_gap``,
+    per-edge solver overrides (``time_limit``, ``mip_gap``, ``marginals``,
     …) that shadow the spec's global solver block for this edge only.
     ``serialize = true`` keeps this edge out of parallel batches when the
     workload runs with ``workers > 1`` — the per-edge escape hatch.

@@ -1,19 +1,27 @@
 """The differential oracle: cell matrix, fault legs, classification."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.fuzz import (
     InjectedFault,
     OracleCell,
+    chaos_edge,
     failing_solver,
     generate_spec,
     run_oracle,
     sample_cells,
 )
 from repro.fuzz.oracle import BASELINE
+from repro.spec import load_spec
 from repro.spec.api import synthesize
 
 CELLS = [BASELINE, OracleCell("mmap", 0)]
+WIDE_STAR = (
+    Path(__file__).parent.parent.parent / "examples" / "specs"
+    / "wide_star16.toml"
+)
 
 
 class TestSampleCells:
@@ -76,3 +84,17 @@ class TestFaultInjection:
         db_a = synthesize(base).database
         db_b = synthesize(base).database
         assert db_a.identical_to(db_b)
+
+    def test_chaos_edge_corrupts_the_same_edge_at_any_worker_count(self):
+        # wide_star16's 16 edges fan out on a pool at workers=2; chaos
+        # counts commits in the parent, so both runs hit edge #14.
+        spec = load_spec(WIDE_STAR)
+        databases, counters = [], []
+        for workers in (0, 2):
+            with chaos_edge(14) as counter:
+                result = synthesize(spec.with_options(workers=workers))
+            databases.append(result.database)
+            counters.append(counter["calls"])
+        assert counters == [16, 16]
+        assert databases[0].identical_to(databases[1])
+        assert not databases[0].identical_to(synthesize(spec).database)

@@ -51,18 +51,18 @@ def _drift_report(tmp_path, config_source, fingerprint_source):
 
 def test_deleting_a_result_option_entry_fails_f_series(tmp_path):
     fingerprint = FINGERPRINT_PY.read_text()
-    entry = '    "backend",\n'
+    entry = '    "marginals",\n'
     assert entry in fingerprint
     report = _drift_report(
         tmp_path, CONFIG_PY.read_text(), fingerprint.replace(entry, "", 1)
     )
     assert any(d.code == "F501" for d in report.new)
-    assert any("backend" in d.message for d in report.new)
+    assert any("marginals" in d.message for d in report.new)
 
 
 def test_unclassified_new_config_field_fails_f_series(tmp_path):
     config = CONFIG_PY.read_text()
-    anchor = "    backend: str = "
+    anchor = "    marginals: str = "
     assert anchor in config
     config = config.replace(
         anchor, "    brand_new_knob: int = 0\n" + anchor, 1
@@ -77,7 +77,7 @@ def test_unclassified_new_config_field_fails_f_series(tmp_path):
 def test_stale_classification_entry_fails_f_series(tmp_path):
     fingerprint = FINGERPRINT_PY.read_text()
     fingerprint = fingerprint.replace(
-        '    "backend",\n', '    "backend",\n    "retired_knob",\n', 1
+        '    "marginals",\n', '    "marginals",\n    "retired_knob",\n', 1
     )
     report = _drift_report(
         tmp_path, CONFIG_PY.read_text(), fingerprint

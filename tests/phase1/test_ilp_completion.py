@@ -50,14 +50,13 @@ def _ccs():
 
 
 class TestCompleteWithIlp:
-    @pytest.mark.parametrize("backend", ["scipy", "native"])
-    def test_example_4_1_exact(self, figure_1, backend):
+    def test_example_4_1_exact(self, figure_1):
         r1, r2 = figure_1
         catalog = ComboCatalog.from_relation(r2)
         assignment = ViewAssignment(n=9, r2_attrs=catalog.attrs)
         stats = complete_with_ilp(
             r1, ["Age", "Rel", "Multi"], catalog, _ccs(), assignment,
-            marginals="all", backend=backend,
+            marginals="all",
         )
         assert stats.solver_status == "optimal"
         assert stats.solver_objective == pytest.approx(0.0)
@@ -154,7 +153,7 @@ class TestCompleteWithIlp:
         with pytest.raises(SolverError, match="time limit"):
             complete_with_ilp(
                 r1, ["Age", "Rel", "Multi"], catalog, _ccs(), assignment,
-                marginals="all", backend="native", time_limit=0.001,
+                marginals="all", time_limit=0.001,
             )
 
     def test_unknown_marginals_mode(self, figure_1):

@@ -1,10 +1,11 @@
-"""Native branch & bound."""
+"""MILP instances with known optima, solved by ``solve_model``.
+
+Integer variables send each case through HiGHS's branch-and-bound.
+"""
 
 import pytest
 
-from repro.solver.branch_bound import branch_and_bound
-from repro.solver.model import Model
-from repro.solver.result import SolveStatus
+from repro.solver import Model, SolveStatus, solve_model
 
 
 def _knapsack():
@@ -24,7 +25,7 @@ def _knapsack():
 
 class TestBranchAndBound:
     def test_knapsack_optimum(self):
-        result = branch_and_bound(_knapsack())
+        result = solve_model(_knapsack())
         assert result.ok
         assert result.objective == pytest.approx(-21)  # items b + c + d... 11+6+4=21
         assert all(abs(x - round(x)) < 1e-6 for x in result.x)
@@ -36,7 +37,7 @@ class TestBranchAndBound:
         y = model.add_variable("y", integer=True, objective=-1)
         model.add_constraint({x.index: 1, y.index: 2}, "<=", 3)
         model.add_constraint({x.index: 2, y.index: 1}, "<=", 3)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.ok
         assert result.objective == pytest.approx(-2)
 
@@ -45,7 +46,7 @@ class TestBranchAndBound:
         model = Model()
         x = model.add_variable("x", integer=True)
         model.add_constraint({x.index: 2}, "==", 3)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.INFEASIBLE
 
     def test_lp_infeasible(self):
@@ -53,14 +54,14 @@ class TestBranchAndBound:
         x = model.add_variable("x", integer=True)
         model.add_constraint({x.index: 1}, "==", 2)
         model.add_constraint({x.index: 1}, "==", 5)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.INFEASIBLE
 
     def test_continuous_pass_through(self):
         model = Model()
         x = model.add_variable("x", objective=1)
         model.add_constraint({x.index: 2}, "==", 3)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.ok
         assert result.x[0] == pytest.approx(1.5)
 
@@ -71,6 +72,6 @@ class TestBranchAndBound:
         model.add_constraint({v.index: 1 for v in xs}, "==", 10)
         model.add_constraint({xs[0].index: 1, xs[1].index: 1}, "==", 6)
         model.add_constraint({xs[0].index: 1}, "==", 2)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.ok
         assert [round(v) for v in result.x] == [2, 4, 4]

@@ -1,23 +1,22 @@
-"""HiGHS backend, and its agreement with the native solver."""
+"""The HiGHS solve, held to exhaustive enumeration on small ILPs."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import Model, branch_and_bound, scipy_solve, solve_model
+from repro.solver import Model, solve_model
 from repro.solver.result import SolveStatus
 
+_SENSES = ("<=", ">=", "==")
 
-def _model_from(c, rows, rhs, upper):
-    model = Model()
-    for j, (cost, ub) in enumerate(zip(c, upper)):
-        model.add_variable(f"x{j}", upper=float(ub), integer=True,
-                           objective=float(cost))
-    for row, b in zip(rows, rhs):
-        coeffs = {j: float(v) for j, v in enumerate(row) if v}
-        if coeffs:
-            model.add_constraint(coeffs, "<=", float(b))
-    return model
+
+def _satisfies(lhs, sense, rhs):
+    if sense == "<=":
+        return lhs <= rhs
+    if sense == ">=":
+        return lhs >= rhs
+    return lhs == rhs
 
 
 class TestScipySolve:
@@ -27,7 +26,7 @@ class TestScipySolve:
         y = model.add_variable("y", integer=True, objective=-1)
         model.add_constraint({x.index: 1, y.index: 2}, "<=", 7)
         model.add_constraint({x.index: 3, y.index: 1}, "<=", 9)
-        result = scipy_solve(model)
+        result = solve_model(model)
         assert result.ok
         assert result.objective == pytest.approx(-4)
 
@@ -35,48 +34,64 @@ class TestScipySolve:
         model = Model()
         x = model.add_variable("x", integer=True, upper=1.0)
         model.add_constraint({x.index: 1}, ">=", 5)
-        assert scipy_solve(model).status is SolveStatus.INFEASIBLE
+        assert solve_model(model).status is SolveStatus.INFEASIBLE
 
     def test_solution_is_integral(self):
         model = Model()
         x = model.add_variable("x", integer=True, objective=-1)
         model.add_constraint({x.index: 2}, "<=", 7)
-        result = scipy_solve(model)
+        result = solve_model(model)
         assert result.x[0] == 3
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve_model(Model(), "cplex")
 
-
-class TestBackendAgreement:
-    @settings(max_examples=25, deadline=None)
+class TestExhaustiveAgreement:
+    @settings(max_examples=50, deadline=None)
     @given(
         n=st.integers(1, 3),
         m=st.integers(0, 3),
         data=st.data(),
     )
-    def test_native_matches_scipy_on_random_ilps(self, n, m, data):
-        """Both backends find the same optimal objective."""
-        c = data.draw(
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n)
-        )
+    def test_matches_enumeration_on_random_ilps(self, n, m, data):
+        """The optimum over every integer point of the box (at most
+        7**3 = 343 of them), or INFEASIBLE when none is feasible."""
+        c = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
         upper = data.draw(
             st.lists(st.integers(0, 6), min_size=n, max_size=n)
         )
         rows = [
-            data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+            (
+                data.draw(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+                ),
+                data.draw(st.sampled_from(_SENSES)),
+                data.draw(st.integers(-10, 20)),
+            )
             for _ in range(m)
         ]
-        rhs = data.draw(
-            st.lists(st.integers(0, 20), min_size=m, max_size=m)
-        )
-        model_a = _model_from(c, rows, rhs, upper)
-        model_b = _model_from(c, rows, rhs, upper)
-        result_scipy = scipy_solve(model_a)
-        result_native = branch_and_bound(model_b)
-        assert result_scipy.status == result_native.status
-        if result_scipy.ok:
-            assert result_scipy.objective == pytest.approx(
-                result_native.objective, abs=1e-6
+        model = Model()
+        for cost, ub in zip(c, upper):
+            model.add_variable(
+                upper=float(ub), integer=True, objective=float(cost)
             )
+        for coeffs, sense, rhs in rows:
+            model.add_constraint(
+                {j: float(v) for j, v in enumerate(coeffs)}, sense, rhs
+            )
+
+        best = None
+        for point in itertools.product(*(range(ub + 1) for ub in upper)):
+            if all(
+                _satisfies(
+                    sum(a * x for a, x in zip(coeffs, point)), sense, rhs
+                )
+                for coeffs, sense, rhs in rows
+            ):
+                value = sum(a * x for a, x in zip(c, point))
+                best = value if best is None else min(best, value)
+
+        result = solve_model(model)
+        if best is None:
+            assert result.status is SolveStatus.INFEASIBLE
+        else:
+            assert result.status is SolveStatus.OPTIMAL
+            assert result.objective == pytest.approx(best, abs=1e-6)

@@ -1,45 +1,35 @@
 """Solver edge cases: unbounded MILPs, bad bounds, all-``==`` systems.
 
-Covers the two bugfixes of the vectorization PR — an unbounded root
-relaxation of a true MILP must surface as ``UNBOUNDED`` (not
-``INFEASIBLE``), and non-finite lower bounds must raise the library's
-:class:`SolverError` rather than a bare ``ValueError`` — plus equivalence
-of the vectorized tableau simplex against the scipy backend.
+An unbounded MILP must surface as ``UNBOUNDED`` — HiGHS reports "unbounded
+or infeasible" for it, and ``solve_model`` settles which — while an
+integer-infeasible model whose relaxation is unbounded stays
+``INFEASIBLE``.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import SolverError
-from repro.solver import (
-    Model,
-    SolveStatus,
-    branch_and_bound,
-    scipy_solve,
-    simplex_solve,
-    solve_model,
-)
+from repro.solver import Model, SolveStatus, solve_model
 
 
-def _lp(a, b, senses, c, lower, upper):
-    return simplex_solve(
-        np.asarray(a, dtype=float).reshape(len(b), len(c)),
-        np.asarray(b, dtype=float),
-        senses,
-        np.asarray(c, dtype=float),
-        np.asarray(lower, dtype=float),
-        np.asarray(upper, dtype=float),
-    )
+def _lp(a, b, senses, c):
+    model = Model()
+    for cost in c:
+        model.add_variable(objective=float(cost))
+    for row, rhs, sense in zip(a, b, senses):
+        model.add_constraint(
+            {j: float(v) for j, v in enumerate(row) if v}, sense, rhs
+        )
+    return solve_model(model)
 
 
 class TestUnboundedMilp:
     def test_unbounded_root_is_reported_unbounded(self):
         """An integer variable with no upper bound and a negative cost:
-        the root LP relaxation is unbounded, and so is the MILP — the old
-        code fell through to ``INFEASIBLE``."""
+        the root LP relaxation is unbounded, and so is the MILP."""
         model = Model()
         model.add_variable(name="x", lower=0.0, integer=True, objective=-1.0)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_unbounded_milp_with_constraint(self):
@@ -48,13 +38,13 @@ class TestUnboundedMilp:
         y = model.add_variable(name="y", lower=0.0, integer=True)
         model.add_constraint({x.index: 1.0, y.index: -1.0}, "<=", 3.0)
         model.set_objective({x.index: -1.0})
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_pure_lp_unbounded_still_reported(self):
         model = Model()
         model.add_variable(name="x", lower=0.0, objective=-1.0)
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_bounded_milp_still_solves(self):
@@ -62,104 +52,76 @@ class TestUnboundedMilp:
         x = model.add_variable(name="x", lower=0.0, upper=10.0, integer=True)
         model.add_constraint({x.index: 2.0}, "<=", 7.0)
         model.set_objective({x.index: -1.0})
-        result = branch_and_bound(model)
+        result = solve_model(model)
         assert result.status is SolveStatus.OPTIMAL
         assert result.x[x.index] == pytest.approx(3.0)
+
+    def test_unbounded_relaxation_integer_infeasible(self):
+        # 2x - 2y = 1 has real solutions all the way out (so the
+        # relaxation of min -x is unbounded) but no integer one.
+        model = Model()
+        x = model.add_variable(name="x", lower=0.0, integer=True)
+        y = model.add_variable(name="y", lower=0.0, integer=True)
+        model.add_constraint({x.index: 2.0, y.index: -2.0}, "==", 1.0)
+        model.set_objective({x.index: -1.0})
+        result = solve_model(model)
+        assert result.status is SolveStatus.INFEASIBLE
 
 
 class TestBadBounds:
     def test_infeasible_bounds_lower_above_upper(self):
-        result = _lp([], [], [], [1.0], lower=[5.0], upper=[4.0])
+        # [0.2, 0.8] passes the model's lower <= upper check, but the
+        # integer bounds it implies are 1 > 0.
+        model = Model()
+        model.add_variable(name="x", lower=0.2, upper=0.8, integer=True)
+        result = solve_model(model)
         assert result.status is SolveStatus.INFEASIBLE
 
     def test_infeasible_bounds_through_branch_and_bound(self):
         model = Model()
-        model.add_variable(name="x", lower=0.0, upper=5.0, integer=True)
-        a, b, senses, c, lower, upper = model.dense()
-        lower = np.asarray([6.0])
-        result = simplex_solve(a, b, senses, c, lower, upper)
+        x = model.add_variable(name="x", lower=0.0, upper=5.0, integer=True)
+        y = model.add_variable(name="y", lower=6.0, upper=9.0, integer=True)
+        model.add_constraint({x.index: 1.0, y.index: -1.0}, "==", 0.0)
+        result = solve_model(model)
         assert result.status is SolveStatus.INFEASIBLE
 
-    def test_non_finite_lower_raises_solver_error(self):
-        with pytest.raises(SolverError):
-            _lp([], [], [], [1.0], lower=[-np.inf], upper=[np.inf])
-
-    def test_non_finite_lower_through_native_backend(self):
+    def test_free_variable_solves(self):
         model = Model()
-        model.add_variable(name="x", lower=-np.inf, objective=1.0)
-        with pytest.raises(SolverError):
-            solve_model(model, "native")
+        x = model.add_variable(name="x", lower=-np.inf, objective=1.0)
+        model.add_constraint({x.index: 1.0}, ">=", -3.0)
+        result = solve_model(model)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.x[x.index] == pytest.approx(-3.0)
 
 
 class TestAllEqualitySystems:
     def test_square_equality_system(self):
-        # x + y = 10, x - y = 2 → (6, 4); all rows are == (all-artificial
-        # phase 1).
-        result = _lp(
-            [[1, 1], [1, -1]], [10, 2], ["==", "=="], [1.0, 1.0],
-            lower=[0, 0], upper=[np.inf, np.inf],
-        )
+        # x + y = 10, x - y = 2 → (6, 4); every row is an equality.
+        result = _lp([[1, 1], [1, -1]], [10, 2], ["==", "=="], [1.0, 1.0])
         assert result.ok
         assert np.allclose(result.x, [6, 4])
 
     def test_overdetermined_consistent(self):
         result = _lp(
             [[1, 1], [2, 2], [1, -1]], [4, 8, 0], ["==", "==", "=="],
-            [1.0, 0.0], lower=[0, 0], upper=[np.inf, np.inf],
+            [1.0, 0.0],
         )
         assert result.ok
         assert np.allclose(result.x, [2, 2])
 
     def test_overdetermined_inconsistent(self):
-        result = _lp(
-            [[1, 1], [1, 1]], [4, 5], ["==", "=="], [1.0, 1.0],
-            lower=[0, 0], upper=[np.inf, np.inf],
-        )
+        result = _lp([[1, 1], [1, 1]], [4, 5], ["==", "=="], [1.0, 1.0])
         assert result.status is SolveStatus.INFEASIBLE
 
-    def test_all_equality_milp_native_vs_scipy(self):
+    def test_all_equality_milp_known_answer(self):
         model = Model()
         x = model.add_variable(name="x", lower=0.0, upper=20.0, integer=True)
         y = model.add_variable(name="y", lower=0.0, upper=20.0, integer=True)
         model.add_constraint({x.index: 1.0, y.index: 1.0}, "==", 13.0)
         model.add_constraint({x.index: 1.0, y.index: -1.0}, "==", 3.0)
         model.set_objective({x.index: 1.0, y.index: 2.0})
-        native = branch_and_bound(model)
-        scipy = scipy_solve(model)
-        assert native.ok and scipy.ok
-        assert native.objective == pytest.approx(scipy.objective)
-        assert np.allclose(native.x, scipy.x)
-
-
-class TestVectorizedSimplexEquivalence:
-    """The rank-1-update simplex against scipy on random dense LPs."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_lps_match_scipy(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 5, 4
-        model = Model()
-        for j in range(n):
-            model.add_variable(
-                name=f"x{j}",
-                lower=0.0,
-                upper=float(rng.integers(3, 12)),
-                objective=float(rng.integers(-5, 6)),
-            )
-        for _ in range(m):
-            coeffs = {
-                j: float(rng.integers(-3, 4)) for j in range(n)
-            }
-            sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
-            rhs = float(rng.integers(0, 15))
-            model.add_constraint(coeffs, sense, rhs)
-        a, b, senses, c, lower, upper = model.dense()
-        native = simplex_solve(a, b, senses, c, lower, upper)
-        scipy = scipy_solve(model)
-        assert (native.status is SolveStatus.OPTIMAL) == (
-            scipy.status is SolveStatus.OPTIMAL
-        ), f"native={native.status} scipy={scipy.status}"
-        if native.ok:
-            assert native.objective == pytest.approx(
-                scipy.objective, abs=1e-6
-            )
+        # x + y = 13 and x - y = 3 leave one point: (8, 5).
+        result = solve_model(model)
+        assert result.status is SolveStatus.OPTIMAL
+        assert np.allclose(result.x, [8, 5])
+        assert result.objective == pytest.approx(18)

@@ -113,7 +113,7 @@ class TestPerturbationSensitivity:
         ]
 
     def test_result_option_changes_every_edge(self):
-        changed = edge_fingerprints(build_spec(backend="native"))
+        changed = edge_fingerprints(build_spec(marginals="all"))
         for key in self.base:
             assert changed[key] != self.base[key]
 
@@ -198,14 +198,13 @@ class TestResultOptions:
             "evaluate",
             "storage",
             "chunk_rows",
-            "memory_budget_mb",
             "storage_dir",
         }
 
     def test_result_options_filters(self):
-        config = SolverConfig(backend="native", workers=4)
+        config = SolverConfig(marginals="all", workers=4)
         options = result_options(config)
-        assert options["backend"] == "native"
+        assert options["marginals"] == "all"
         assert "workers" not in options
 
     def test_unreachable_edges_get_no_fingerprint(self):

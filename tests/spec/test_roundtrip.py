@@ -22,6 +22,8 @@ from repro.datagen.census import CensusConfig, generate_census
 from repro.datagen.constraints_census import all_dcs, cc_family
 from repro.spec import SpecBuilder, SynthesisSpec, load_spec, save_spec
 
+MARGINALS = ["relevant", "all", "none"]
+
 _SLOW = settings(
     max_examples=10,
     deadline=None,
@@ -139,7 +141,7 @@ def specs(draw):
                 }
         if draw(st.booleans()):
             kwargs["solver"] = {
-                "backend": draw(st.sampled_from(["scipy", "native"])),
+                "marginals": draw(st.sampled_from(MARGINALS)),
             }
             if draw(st.booleans()):
                 kwargs["solver"]["time_limit"] = draw(
@@ -154,7 +156,7 @@ def specs(draw):
             kwargs["serialize"] = True
         builder.edge("fact", f"fk{i}", name, **kwargs)
     if draw(st.booleans()):
-        builder.options(backend=draw(st.sampled_from(["scipy", "native"])))
+        builder.options(marginals=draw(st.sampled_from(MARGINALS)))
     if draw(st.booleans()):
         builder.options(workers=draw(st.integers(0, 4)))
     if draw(st.booleans()):
@@ -162,8 +164,6 @@ def specs(draw):
             storage=draw(st.sampled_from(["numpy", "mmap"])),
             chunk_rows=draw(st.integers(1, 1 << 20)),
         )
-    if draw(st.booleans()):
-        builder.options(memory_budget_mb=draw(st.integers(1, 4096)))
     if draw(st.booleans()):
         builder.options(
             storage_dir=draw(

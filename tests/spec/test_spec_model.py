@@ -7,6 +7,16 @@ from repro.errors import SchemaError
 from repro.relational.relation import Relation
 from repro.relational.types import Dtype
 from repro.spec import EdgeSpec, RelationSpec, SpecBuilder, SynthesisSpec
+from repro.spec.io import load_spec, toml_dumps
+
+#: Solver options that no longer exist; naming one must fail loudly.
+RETIRED_OPTIONS = (
+    "backend",
+    "memory_budget_mb",
+    "executor",
+    "sql_min_rows",
+    "parallel_workers",
+)
 
 
 def _two_table_spec(**edge_kwargs) -> SynthesisSpec:
@@ -161,21 +171,24 @@ class TestSynthesisSpec:
         assert len(db.foreign_keys) == 1
 
     def test_options_round_trip_only_non_defaults(self):
-        spec = _two_table_spec().with_options(backend="native", workers=2)
+        spec = _two_table_spec().with_options(marginals="all", workers=2)
         data = spec.to_dict()
-        assert data["options"] == {"backend": "native", "workers": 2}
+        assert data["options"] == {"marginals": "all", "workers": 2}
         rebuilt = SynthesisSpec.from_dict(data)
-        assert rebuilt.options == SolverConfig(backend="native", workers=2)
+        assert rebuilt.options == SolverConfig(marginals="all", workers=2)
 
-    def test_unknown_option_rejected(self):
-        data = _two_table_spec().to_dict()
-        data["options"] = {"warp_speed": True}
-        with pytest.raises(SchemaError):
-            SynthesisSpec.from_dict(data)
+    def test_unknown_option_rejected(self, tmp_path):
+        for name in ("warp_speed",) + RETIRED_OPTIONS:
+            data = _two_table_spec().to_dict()
+            data["options"] = {name: 1}
+            path = tmp_path / f"{name}.toml"
+            path.write_text(toml_dumps(data))
+            with pytest.raises(SchemaError, match="unknown solver options"):
+                load_spec(path)
 
     def test_builder_options_exclusive(self):
         with pytest.raises(SchemaError):
-            SpecBuilder().options(SolverConfig(), backend="native")
+            SpecBuilder().options(SolverConfig(), marginals="all")
 
 
 class TestEdgeStrategyValidation:
@@ -222,36 +235,43 @@ class TestEdgeStrategyValidation:
 class TestEdgeSolverOverrides:
     def test_overrides_round_trip(self):
         spec = _two_table_spec(
-            solver={"backend": "native", "time_limit": 5.0, "mip_gap": 0.1}
+            solver={"marginals": "all", "time_limit": 5.0, "mip_gap": 0.1}
         )
         data = spec.to_dict()
         assert data["edges"][0]["solver"] == {
-            "backend": "native", "time_limit": 5.0, "mip_gap": 0.1,
+            "marginals": "all", "time_limit": 5.0, "mip_gap": 0.1,
         }
         rebuilt = SynthesisSpec.from_dict(data)
         assert rebuilt.edges[0].solver == spec.edges[0].solver
 
-    def test_unknown_override_key_rejected(self):
+    def test_unknown_override_key_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="bogus"):
             _two_table_spec(solver={"bogus": 1})
+        for name in RETIRED_OPTIONS:
+            data = _two_table_spec().to_dict()
+            data["edges"][0]["solver"] = {name: 1}
+            path = tmp_path / f"{name}.toml"
+            path.write_text(toml_dumps(data))
+            with pytest.raises(SchemaError, match="unknown solver overrides"):
+                load_spec(path)
 
     def test_invalid_override_value_rejected(self):
-        with pytest.raises(SchemaError, match="backend"):
-            _two_table_spec(solver={"backend": "gurobi"})
+        with pytest.raises(SchemaError, match="marginals"):
+            _two_table_spec(solver={"marginals": "sometimes"})
         with pytest.raises(SchemaError, match="time_limit"):
             _two_table_spec(solver={"time_limit": -1.0})
 
     def test_effective_config_shadows_global(self):
         from repro.core.snowflake import EdgeConstraints
 
-        base = SolverConfig(backend="scipy")
+        base = SolverConfig(soft_ccs=False)
         constraints = EdgeConstraints(
-            solver_overrides={"backend": "native", "mip_gap": 0.05}
+            solver_overrides={"marginals": "all", "mip_gap": 0.05}
         )
         config = constraints.effective_config(base)
-        assert config.backend == "native"
+        assert config.marginals == "all"
         assert config.mip_gap == 0.05
         # Untouched knobs keep the global value, and no-override edges
         # reuse the base object untouched.
-        assert config.marginals == base.marginals
+        assert config.soft_ccs == base.soft_ccs
         assert EdgeConstraints().effective_config(base) is base
