@@ -1,24 +1,40 @@
 """CSV import/export for relations.
 
 Integer columns must be canonical base-10 literals (optional leading
-``-``, no underscores, whitespace or redundant leading zeros) so that a
-read→write round-trip preserves the cell text; everything else is kept as
-a string.  The writer emits a plain header row followed by the data —
-enough to round-trip any relation the library produces.
+``-``, no underscores, whitespace or redundant leading zeros) that fit
+``int64``, so that a read→write round-trip preserves the cell text;
+everything else is kept as a string.  The writer emits a plain header
+row followed by the data — enough to round-trip any relation the
+library produces.
 
 Readers stream the file in fixed-size row blocks: the whole table is
 never held as a list-of-rows plus a transposed copy.  ``read_csv`` still
 returns an in-RAM relation (the arrays are the destination), but
 ``read_csv_store`` spills each block straight into a chunked on-disk
 column store, keeping peak memory proportional to the block size.
+``read_csv_infer`` infers the column types while it reads, in the same
+single pass.  Each block's integer check is whole-list builtins, not a
+per-cell Python loop.  Errors cite ``path:line`` with the physical line
+the offending record starts on, which a quoted multi-line field makes
+differ from the record number.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import operator
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -64,7 +80,9 @@ def _is_canonical_int(text: str) -> bool:
 
     Bare :func:`int` also accepts ``"1_000"``, ``" 3 "``, ``"+7"``,
     ``"00"`` and non-ASCII digits — all of which would be silently
-    rewritten on the next export, so they are rejected here.
+    rewritten on the next export, so they are rejected here.  This is
+    the definition :func:`_int_block` checks a block at a time, and the
+    test the error path uses to find the offending cell.
     """
     body = text[1:] if text.startswith("-") else text
     if not body or not (body.isascii() and body.isdigit()):
@@ -74,35 +92,72 @@ def _is_canonical_int(text: str) -> bool:
     return not (text.startswith("-") and body == "0")
 
 
-def _int_column(
-    path: Path,
-    name: str,
-    values: Sequence[str],
-    first_line: int = 2,
-) -> np.ndarray:
-    """Parse one block of an integer column, strictly.
+def _int_block(values: Sequence[str]) -> Optional[np.ndarray]:
+    """``values`` as ``int64`` if every one is a canonical int64 literal.
 
-    The happy path is a single ``map(int, …)`` pass plus a canonicality
-    sweep; only the error path rescans to locate the offending line.
+    ``None`` otherwise.  Both checks are whole-list builtins with no
+    per-cell list: ``np.fromiter(map(int, …))`` parses and range-checks,
+    then a lazy ``str(int(v)) == v`` sweep checks canonicality, which is
+    :func:`_is_canonical_int` for any ``v`` that :func:`int` accepts.
     """
     try:
         parsed = np.fromiter(
             map(int, values), dtype=np.int64, count=len(values)
         )
-    except ValueError:
-        parsed = None
-    if parsed is not None and all(map(_is_canonical_int, values)):
+    except (ValueError, OverflowError):
+        return None
+    if all(map(operator.eq, map(str, map(int, values)), values)):
         return parsed
-    for line_no, value in enumerate(values, start=first_line):
+    return None
+
+
+def _int_column(
+    path: Path,
+    name: str,
+    values: Sequence[str],
+    first_record: int,
+) -> np.ndarray:
+    """Parse one block of an integer column, strictly.
+
+    The happy path is :func:`_int_block`; only the error path rescans
+    to locate the offending cell.
+    """
+    parsed = _int_block(values)
+    if parsed is not None:
+        return parsed
+    for offset, value in enumerate(values):
         if not _is_canonical_int(value):
-            raise SchemaError(
-                f"{path}:{line_no}: column {name!r} "
-                f"expects an integer, got {value!r}"
-            )
+            expected = "an integer"
+        elif _int_block([value]) is None:
+            expected = "an integer in the int64 range"
+        else:
+            continue
+        line = _line_of(path, first_record + offset)
+        raise SchemaError(
+            f"{path}:{line}: column {name!r} expects {expected}, "
+            f"got {value!r}"
+        )
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _open_reader(path: Path) -> Tuple[object, Iterator[List[str]], List[str]]:
+def _line_of(path: Path, record: int) -> int:
+    """The physical line CSV record ``record`` starts on.
+
+    Records count from 1 at the header.  A quoted field may span
+    lines, so the line is found by re-reading the file up to the
+    record.  Only the error paths call this: a read that succeeds never
+    counts lines.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        for _ in itertools.islice(reader, record - 1):
+            pass
+        return reader.line_num + 1
+
+
+def _open_reader(
+    path: Path,
+) -> Tuple[TextIO, Iterator[List[str]], List[str]]:
     handle = path.open(newline="")
     reader = csv.reader(handle)
     header = next(reader, None)
@@ -118,34 +173,50 @@ def _iter_blocks(
     width: int,
     block_rows: int,
 ) -> Iterator[Tuple[int, List[List[str]]]]:
-    """Yield ``(first_line_no, rows)`` blocks, validating field counts."""
-    line_no = 2
+    """Yield ``(first_record, rows)`` blocks, validating field counts.
+
+    Records count from 1 at the header, so the first data record is 2.
+    """
+    record = 2
     while True:
         rows = list(itertools.islice(reader, block_rows))
         if not rows:
             return
-        for offset, raw in enumerate(rows):
-            if len(raw) != width:
-                raise SchemaError(
-                    f"{path}:{line_no + offset}: expected {width} fields, "
-                    f"got {len(raw)}"
-                )
-        yield line_no, rows
-        line_no += len(rows)
+        if set(map(len, rows)) != {width}:
+            for offset, raw in enumerate(rows):
+                if len(raw) != width:
+                    line = _line_of(path, record + offset)
+                    raise SchemaError(
+                        f"{path}:{line}: expected {width} fields, "
+                        f"got {len(raw)}"
+                    )
+        yield record, rows
+        record += len(rows)
+
+
+def _as_text(block: np.ndarray) -> np.ndarray:
+    """An int64 block rendered back to its canonical literals.
+
+    Exact for blocks :func:`_int_block` parsed, since canonical means
+    ``str(int(v)) == v``.
+    """
+    return np.fromiter(
+        map(str, block.tolist()), dtype=object, count=len(block)
+    )
 
 
 def _block_columns(
     path: Path,
     schema: Schema,
     rows: List[List[str]],
-    first_line: int,
+    first_record: int,
 ) -> Dict[str, np.ndarray]:
     columns: Dict[str, np.ndarray] = {}
     for i, spec in enumerate(schema):
         values = [row[i] for row in rows]
         if spec.dtype is Dtype.INT:
             columns[spec.name] = _int_column(
-                path, spec.name, values, first_line
+                path, spec.name, values, first_record
             )
         else:
             columns[spec.name] = np.asarray(values, dtype=object)
@@ -184,10 +255,10 @@ def read_csv(
         parts: Dict[str, List[np.ndarray]] = {
             spec.name: [] for spec in schema
         }
-        for first_line, rows in _iter_blocks(
+        for first_record, rows in _iter_blocks(
             path, reader, len(schema), block_rows
         ):
-            block = _block_columns(path, schema, rows, first_line)
+            block = _block_columns(path, schema, rows, first_record)
             for name, arr in block.items():
                 parts[name].append(arr)
     columns = {
@@ -232,16 +303,32 @@ def read_csv_store(
             chunk_rows=chunk_rows,
         )
         try:
-            for first_line, rows in _iter_blocks(
+            for first_record, rows in _iter_blocks(
                 path, reader, len(schema), block_rows
             ):
                 writer.append(
-                    _block_columns(path, schema, rows, first_line)
+                    _block_columns(path, schema, rows, first_record)
                 )
         except BaseException:
             writer.discard()
             raise
     return Relation(_with_key(schema, key), writer.finalize())
+
+
+def _inferred_schema(
+    header: List[str],
+    is_int: List[bool],
+    saw_rows: bool,
+    key: Optional[str],
+) -> Schema:
+    """INT for the columns still ``is_int`` after some rows, else STR."""
+    return Schema(
+        [
+            ColumnSpec(name, Dtype.INT if saw_rows and ok else Dtype.STR)
+            for name, ok in zip(header, is_int)
+        ],
+        key=key,
+    )
 
 
 def infer_csv_schema(
@@ -251,27 +338,22 @@ def infer_csv_schema(
 ) -> Schema:
     """Infer a schema from the data in one streaming pass.
 
-    A column whose every value is a canonical integer literal becomes
-    :attr:`Dtype.INT`; everything else (including a column with no rows)
-    stays a string.
+    A column whose every value is a canonical integer literal within
+    the int64 range becomes :attr:`Dtype.INT`; everything else
+    (including a column with no rows) stays a string.
     """
     path = Path(path)
     handle, reader, header = _open_reader(path)
+    is_int = [True] * len(header)
+    saw_rows = False
     with handle:
-        int_ok = [True] * len(header)
-        saw_rows = False
         for _, rows in _iter_blocks(path, reader, len(header), block_rows):
             saw_rows = True
-            for i in range(len(header)):
-                if int_ok[i]:
-                    int_ok[i] = all(
-                        _is_canonical_int(row[i]) for row in rows
-                    )
-    specs = [
-        ColumnSpec(name, Dtype.INT if saw_rows and ok else Dtype.STR)
-        for name, ok in zip(header, int_ok)
-    ]
-    return Schema(specs, key=key)
+            for i, ok in enumerate(is_int):
+                if ok:
+                    values = [row[i] for row in rows]
+                    is_int[i] = _int_block(values) is not None
+    return _inferred_schema(header, is_int, saw_rows, key)
 
 
 def read_csv_infer(
@@ -279,10 +361,42 @@ def read_csv_infer(
     key: Optional[str] = None,
     block_rows: int = BLOCK_ROWS,
 ) -> Relation:
-    """Read a CSV inferring column types from the data.
+    """Read a CSV inferring column types from the data, in one pass.
 
-    Inference and parsing are two streaming passes over the file.  Used
-    by the CLI, where no schema object exists up front.
+    Column types are those :func:`infer_csv_schema` gives.  A column
+    stays ``int64`` while every block holds canonical int64 literals
+    only; the first block that does not demotes it to a string column,
+    and the blocks already parsed are rendered back with ``str`` —
+    exact, because a canonical literal is ``str(int(v))``.  Used by the
+    CLI and the spec loader, where no schema object exists up front.
     """
-    schema = infer_csv_schema(path, key=key, block_rows=block_rows)
-    return read_csv(path, schema, block_rows=block_rows)
+    path = Path(path)
+    handle, reader, header = _open_reader(path)
+    is_int = [True] * len(header)
+    saw_rows = False
+    parts: List[List[np.ndarray]] = [[] for _ in header]
+    with handle:
+        for _, rows in _iter_blocks(path, reader, len(header), block_rows):
+            saw_rows = True
+            for i, blocks in enumerate(parts):
+                values = [row[i] for row in rows]
+                parsed = _int_block(values) if is_int[i] else None
+                if parsed is not None:
+                    blocks.append(parsed)
+                    continue
+                if is_int[i]:
+                    is_int[i] = False
+                    blocks[:] = [_as_text(block) for block in blocks]
+                blocks.append(np.asarray(values, dtype=object))
+    schema = _inferred_schema(header, is_int, saw_rows, key)
+    return Relation(
+        schema,
+        {
+            spec.name: (
+                np.concatenate(blocks)
+                if blocks
+                else np.asarray([], dtype=object)
+            )
+            for spec, blocks in zip(schema, parts)
+        },
+    )

@@ -19,7 +19,7 @@ flag enforces it.
 from __future__ import annotations
 
 import hashlib
-import struct
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -44,6 +44,8 @@ from repro.relational.store import (
     CompositeStore,
     MmapStoreWriter,
     NumpyColumnStore,
+    factorize_objects,
+    sorted_dictionary,
 )
 from repro.relational.types import Dtype, infer_dtype
 
@@ -61,24 +63,70 @@ def _scalar(value: object) -> object:
 def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(codes, uniques)`` for a column with ``uniques[codes] == arr``.
 
-    Codes from the ``np.unique`` fast path additionally follow the sorted
-    order of the values; the dict fallback (object columns whose mixed
-    values NumPy cannot sort) only guarantees equal-value/equal-code.
-    Either property suffices for the lexsort-and-split group kernels.
+    Integer columns go through ``np.unique``.  Object columns are
+    encoded by hashing and only their k distinct values are sorted
+    (:func:`~repro.relational.store.factorize_objects`), which equals
+    ``np.unique(arr, return_inverse=True)`` without an n-row object
+    sort.  Values that cannot be ordered (mixed types) keep first-seen
+    codes, which only guarantee equal-value/equal-code.  Either
+    property suffices for the lexsort-and-split group kernels.
     """
     if len(arr) == 0:
         return np.empty(0, dtype=np.int64), arr
-    try:
-        uniques, codes = np.unique(arr, return_inverse=True)
-        return codes.astype(np.int64, copy=False), uniques
-    except TypeError:
-        first_seen: Dict[object, int] = {}
-        codes = np.fromiter(
-            (first_seen.setdefault(v, len(first_seen)) for v in arr.tolist()),
-            dtype=np.int64,
-            count=len(arr),
-        )
-        return codes, np.asarray(list(first_seen), dtype=object)
+    if arr.dtype == object:
+        return factorize_objects(arr.tolist())
+    uniques, codes = np.unique(arr, return_inverse=True)
+    return codes.astype(np.int64, copy=False), uniques
+
+
+#: Values per update of the object-column hash streams: bounds the
+#: transient per-value lists whatever the chunk size.
+_HASH_SLICE = 8_192
+
+
+def _cell_bytes(value: object) -> Tuple[bytes, bytes]:
+    """``(tag, bytes)`` of one object-column value for the content hash."""
+    value = _scalar(value)
+    if isinstance(value, str):
+        return b"s", value.encode("utf-8", "surrogatepass")
+    return b"o", repr(value).encode()
+
+
+def _hash_object_column(chunks: Iterable[np.ndarray]) -> bytes:
+    """The three stream digests of one object column, concatenated.
+
+    The streams are one type tag per value (``s`` for a string, ``o``
+    for anything else, hashed as its ``repr``), each value's byte
+    length as ``<i8``, and the concatenated bytes.  The lengths rule
+    out separator collisions and the tags keep ``5`` apart from
+    ``"5"``.  Values are fed in slices of at most :data:`_HASH_SLICE`,
+    and the result depends on the values alone, not on how they are
+    chunked.
+    """
+    tags, lengths, data = (hashlib.sha256() for _ in range(3))
+    for chunk in chunks:
+        for lo in range(0, len(chunk), _HASH_SLICE):
+            values = chunk[lo : lo + _HASH_SLICE].tolist()
+            try:
+                # ``str.encode`` raises TypeError on any non-str value.
+                raw = list(
+                    map(
+                        str.encode,
+                        values,
+                        repeat("utf-8"),
+                        repeat("surrogatepass"),
+                    )
+                )
+                tags.update(b"s" * len(raw))
+            except TypeError:
+                cells = list(map(_cell_bytes, values))
+                tags.update(b"".join(tag for tag, _ in cells))
+                raw = [cell for _, cell in cells]
+            lengths.update(
+                np.fromiter(map(len, raw), dtype="<i8", count=len(raw))
+            )
+            data.update(b"".join(raw))
+    return tags.digest() + lengths.digest() + data.digest()
 
 
 #: ``(uniques, slice_fn)`` — global sorted-or-stable uniques of a column
@@ -268,7 +316,9 @@ class Relation:
         digest never materialises a disk-backed column).  This is the
         relational half of the dependency-keyed edge cache: an edge's
         fingerprint starts from the content hashes of the relations its
-        solve reads.  Memoized — relations are immutable.
+        solve reads.  Memoized — relations are immutable.  Integer
+        columns hash their ``<i8`` bytes, object columns three streams
+        (:func:`_hash_object_column`).
         """
         if self._content_hash is not None:
             return self._content_hash
@@ -281,28 +331,17 @@ class Relation:
             )
         for name in self.schema.names:
             digest.update(f"|data={name!r}".encode())
-            is_int = self.schema.dtype(name) is Dtype.INT
-            for start, stop in self._store.chunk_bounds():
-                chunk = self._store.column_slice(name, start, stop)
-                if is_int:
+            chunks = (
+                self._store.column_slice(name, start, stop)
+                for start, stop in self._store.chunk_bounds()
+            )
+            if self.schema.dtype(name) is Dtype.INT:
+                for chunk in chunks:
                     digest.update(
-                        np.ascontiguousarray(
-                            chunk, dtype="<i8"
-                        ).tobytes()
+                        np.ascontiguousarray(chunk, dtype="<i8").tobytes()
                     )
-                else:
-                    for value in chunk.tolist():
-                        value = _scalar(value)
-                        # Length-prefixed, type-tagged encoding: no
-                        # separator collisions, and 5 ≠ "5".
-                        if isinstance(value, str):
-                            raw = value.encode("utf-8", "surrogatepass")
-                            tag = b"s"
-                        else:
-                            raw = repr(value).encode()
-                            tag = b"o"
-                        digest.update(tag + struct.pack("<q", len(raw)))
-                        digest.update(raw)
+            else:
+                digest.update(_hash_object_column(chunks))
         self._content_hash = digest.hexdigest()
         return self._content_hash
 
@@ -421,9 +460,10 @@ class Relation:
         ``uniques[codes]`` reconstructs the column; the codes come from
         the fused-code group-by kernels and are shared with every other
         consumer (conflict-edge enumeration, marginal binning), so a
-        column is scanned at most once per relation lifetime.  Codes from
-        the ``np.unique`` fast path follow the sorted order of the
-        values; the dict fallback only guarantees equal-value/equal-code.
+        column is scanned at most once per relation lifetime.  Codes
+        follow the sorted order of the values (``np.unique``'s codes),
+        except on object columns whose values cannot be ordered: their
+        first-seen codes only guarantee equal-value/equal-code.
 
         Chunked relations factorize in two streaming passes (global
         uniques, then per-chunk code mapping); dictionary-encoded columns
@@ -461,17 +501,11 @@ class Relation:
             return uniques, lambda a, b: codes[a:b]
         values = store.dictionary(name)
         if values is not None:
-            arr = np.asarray(values, dtype=object)
-            try:
-                perm = np.argsort(arr)
-            except TypeError:
+            uniques, remap = sorted_dictionary(values)
+            if remap is None:
                 # Unsortable dictionary: disk codes already satisfy
-                # equal-value/equal-code (first-seen order, matching the
-                # in-RAM dict fallback).
-                return arr, lambda a, b: store.codes_slice(name, a, b)
-            remap = np.empty(len(arr), dtype=np.int64)
-            remap[perm] = np.arange(len(arr), dtype=np.int64)
-            uniques = arr[perm]
+                # equal-value/equal-code, all the group kernels need.
+                return uniques, lambda a, b: store.codes_slice(name, a, b)
             return uniques, lambda a, b: remap[store.codes_slice(name, a, b)]
         parts = [
             np.unique(store.column_slice(name, a, b))

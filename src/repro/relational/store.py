@@ -28,6 +28,7 @@ the payload-slicing pattern of :mod:`repro.core.parallel_snowflake`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import struct
@@ -35,6 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Any,
     Dict,
     Iterator,
     List,
@@ -46,6 +48,7 @@ from typing import (
 )
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import SchemaError
 
@@ -57,6 +60,9 @@ __all__ = [
     "MmapStoreWriter",
     "NumpyColumnStore",
     "StorageOptions",
+    "factorize_objects",
+    "first_seen_codes",
+    "sorted_dictionary",
 ]
 
 #: Read-side granularity of the chunked store: 256k rows × 8 bytes = 2 MiB
@@ -90,6 +96,68 @@ def _npy_header(rows: int) -> bytes:
     return (
         _NPY_MAGIC + struct.pack("<H", len(header)) + header.encode("latin1")
     )
+
+
+def first_seen_codes(
+    values: Sequence[object], table: Dict[object, int]
+) -> np.ndarray:
+    """Dictionary codes of ``values`` under ``table``, extending it.
+
+    Values not yet in ``table`` get the next codes in first-seen order,
+    so ``list(table)`` stays the code-to-value dictionary.  The work per
+    value is whole-list builtins — ``dict.fromkeys`` hashes the distinct
+    values out and one ``map`` looks every code up — never a sort.
+    """
+    fresh = [value for value in dict.fromkeys(values) if value not in table]
+    table.update(zip(fresh, itertools.count(len(table))))
+    return np.fromiter(
+        map(table.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+
+
+def sorted_dictionary(
+    dictionary: Sequence[Any],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(uniques, remap)``: a dictionary in sorted order.
+
+    ``remap[code]`` is the position of ``dictionary[code]`` in the
+    sorted ``uniques``, so ``remap[codes]`` turns first-seen codes into
+    the codes ``np.unique(..., return_inverse=True)`` gives.  Only the
+    k dictionary values are sorted, never the n coded rows, and by
+    Python's ``sorted``, which orders strings faster than an object
+    ``np.argsort``.  Values that cannot be ordered (mixed types) keep
+    their order, with ``remap`` ``None``.
+    """
+    k = len(dictionary)
+    try:
+        perm = sorted(range(k), key=dictionary.__getitem__)
+    except TypeError:
+        return np.fromiter(dictionary, dtype=object, count=k), None
+    order = np.fromiter(perm, dtype=np.int64, count=k)
+    remap = np.empty(k, dtype=np.int64)
+    remap[order] = np.arange(k, dtype=np.int64)
+    uniques = np.fromiter(
+        map(dictionary.__getitem__, perm), dtype=object, count=k
+    )
+    return uniques, remap
+
+
+def factorize_objects(
+    values: Sequence[object],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, uniques)`` of object values, ``uniques[codes] == values``.
+
+    Equal to ``np.unique(values, return_inverse=True)`` whenever the
+    values can be ordered, without sorting the n values: they are
+    hashed to first-seen codes (:func:`first_seen_codes`) and only the
+    k distinct ones are sorted (:func:`sorted_dictionary`).  Values
+    that cannot be ordered keep first-seen codes, which only guarantee
+    equal-value/equal-code.
+    """
+    table: Dict[object, int] = {}
+    codes = first_seen_codes(values, table)
+    uniques, remap = sorted_dictionary(list(table))
+    return (codes if remap is None else remap[codes]), uniques
 
 
 class ColumnStore:
@@ -378,8 +446,11 @@ class MmapStoreWriter:
     ``"int"`` (raw int64) or ``"dict"`` (dictionary-encoded objects).
     Blocks appended via :meth:`append` may have any length — ``chunk_rows``
     is purely the read-side granularity recorded in the manifest.
-    Dictionary codes are assigned in first-seen row order, matching the
-    dict fallback of the in-RAM factorizer.
+    Each block of an object column is factorized by
+    :func:`factorize_objects`, the in-RAM factorizer, and its uniques
+    get dictionary codes in first-seen order: a value's code is its rank
+    of first appearance, each block's new values taken in sorted order
+    (row order when they cannot be sorted).
     """
 
     def __init__(
@@ -410,7 +481,6 @@ class MmapStoreWriter:
         self._columns: List[Tuple[str, str]] = []
         self._handles = {}
         self._tables: Dict[str, Dict[object, int]] = {}
-        self._values: Dict[str, List[object]] = {}
         self._num_rows = 0
         self._finalized = False
         for index, (name, kind) in enumerate(columns):
@@ -423,46 +493,12 @@ class MmapStoreWriter:
             self._handles[name] = handle
             if kind == "dict":
                 self._tables[name] = {}
-                self._values[name] = []
 
     @property
     def directory(self) -> Path:
         return self._directory
 
-    def _encode(self, name: str, values: np.ndarray) -> np.ndarray:
-        """First-seen dictionary codes for one block of an object column.
-
-        The per-value Python work is bounded by the number of *new*
-        distinct values in the block: known blocks factorize through
-        ``np.unique`` and one small dictionary probe per unique.
-        """
-        table = self._tables[name]
-        seen = self._values[name]
-
-        def code_of(value: object) -> int:
-            code = table.get(value)
-            if code is None:
-                code = len(seen)
-                table[value] = code
-                seen.append(value)
-            return code
-
-        try:
-            uniques, inverse = np.unique(values, return_inverse=True)
-        except TypeError:
-            return np.fromiter(
-                map(code_of, values.tolist()),
-                dtype=np.int64,
-                count=len(values),
-            )
-        unique_codes = np.fromiter(
-            map(code_of, uniques.tolist()),
-            dtype=np.int64,
-            count=len(uniques),
-        )
-        return unique_codes[inverse.reshape(-1)]
-
-    def append(self, block: Mapping[str, Sequence[object]]) -> None:
+    def append(self, block: Mapping[str, ArrayLike]) -> None:
         """Append one row block given as per-column sequences."""
         if self._finalized:
             raise SchemaError("store writer is already finalized")
@@ -473,9 +509,11 @@ class MmapStoreWriter:
             if kind == "int":
                 data = np.asarray(block[name], dtype=np.int64)
             else:
-                data = self._encode(
-                    name, np.asarray(block[name], dtype=object)
+                codes, uniques = factorize_objects(
+                    np.asarray(block[name], dtype=object).tolist()
                 )
+                table = self._tables[name]
+                data = first_seen_codes(uniques.tolist(), table)[codes]
             lengths.add(len(data))
             data.astype(_DISK_DTYPE, copy=False).tofile(self._handles[name])
         if len(lengths) > 1:
@@ -513,9 +551,9 @@ class MmapStoreWriter:
             handle.write(_npy_header(self._num_rows))
             handle.close()
         dictionaries = {}
-        for name, values in self._values.items():
+        for name, table in self._tables.items():
             try:
-                dictionaries[name] = [_json_safe(v) for v in values]
+                dictionaries[name] = [_json_safe(v) for v in table]
                 json.dumps(dictionaries[name])
             except TypeError:
                 # Un-finalize so the caller's discard() still removes

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational.csvio import (
+    BLOCK_ROWS,
     infer_csv_schema,
     read_csv,
     read_csv_infer,
@@ -129,3 +130,66 @@ def test_canonical_negative_ints_accepted(tmp_path):
     loaded = read_csv_infer(path, key="pid")
     assert loaded.schema.dtype("Delta") is Dtype.INT
     assert np.array_equal(loaded.column("Delta"), [-30, 0, -1])
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@pytest.mark.parametrize("reader", [read_csv_infer, infer_csv_schema])
+def test_int64_bounds_stay_int(tmp_path, reader):
+    path = tmp_path / "bounds.csv"
+    path.write_text(f"pid,big\n1,{INT64_MIN}\n2,{INT64_MAX}\n")
+    result = reader(path, key="pid")
+    schema = result if isinstance(result, Schema) else result.schema
+    assert schema.dtype("big") is Dtype.INT
+    if isinstance(result, Relation):
+        assert result.column("big").tolist() == [INT64_MIN, INT64_MAX]
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [str(INT64_MAX + 1), str(INT64_MIN - 1), "99999999999999999999"],
+)
+def test_out_of_range_int_is_inferred_str(tmp_path, literal):
+    path = tmp_path / "big.csv"
+    path.write_text(f"pid,big\n1,7\n2,{literal}\n")
+    assert infer_csv_schema(path).dtype("big") is Dtype.STR
+    loaded = read_csv_infer(path, key="pid")
+    assert loaded.schema.dtype("big") is Dtype.STR
+    assert loaded.column("big").tolist() == ["7", literal]
+    assert loaded.schema.dtype("pid") is Dtype.INT
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [str(INT64_MAX + 1), str(INT64_MIN - 1), "99999999999999999999"],
+)
+@pytest.mark.parametrize("typed_reader", [read_csv, read_csv_store])
+def test_out_of_range_int_rejected_by_typed_read(
+    tmp_path, literal, typed_reader
+):
+    path = tmp_path / "big.csv"
+    path.write_text(f"pid,big\n1,7\n2,{literal}\n")
+    schema = Schema(
+        [ColumnSpec("pid", Dtype.INT), ColumnSpec("big", Dtype.INT)],
+        key="pid",
+    )
+    with pytest.raises(SchemaError, match=rf"big\.csv:3: .*'{literal}'"):
+        typed_reader(path, schema)
+
+
+def test_ragged_row_after_multiline_field_cites_physical_line(tmp_path):
+    path = tmp_path / "multi.csv"
+    path.write_text('a,b\n"x\ny",1\n"p",2\nq\n')
+    for block_rows in (1, 2, BLOCK_ROWS):
+        with pytest.raises(SchemaError, match=r"multi\.csv:5: expected 2"):
+            read_csv_infer(path, block_rows=block_rows)
+
+
+def test_bad_int_after_multiline_field_cites_physical_line(tmp_path):
+    path = tmp_path / "multi.csv"
+    path.write_text('a,b\n"x\ny",1\n"p",+2\n')
+    schema = Schema([ColumnSpec("a", Dtype.STR), ColumnSpec("b", Dtype.INT)])
+    for block_rows in (1, 2, BLOCK_ROWS):
+        with pytest.raises(SchemaError, match=r"multi\.csv:4: .*'\+2'"):
+            read_csv(path, schema, block_rows=block_rows)
