@@ -25,6 +25,7 @@ from repro.core.config import SolverConfig
 from repro.core.synthesizer import CExtensionResult, CExtensionSolver
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.relational.store import ColumnStore, NumpyColumnStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.snowflake import EdgeConstraints
@@ -115,6 +116,13 @@ def edge_payload(
     )
 
 
+def _rebuild(schema: Schema, columns: object) -> Relation:
+    """A shipped relation, on the store path: no second type scan."""
+    if not isinstance(columns, ColumnStore):
+        columns = NumpyColumnStore(columns)
+    return Relation(schema, columns)
+
+
 def solve_edge_payload(payload: EdgePayload) -> CExtensionResult:
     """Worker entry point: rebuild the relations and solve the edge.
 
@@ -133,6 +141,6 @@ def solve_edge_payload(payload: EdgePayload) -> CExtensionResult:
         constraints,
         config,
     ) = payload
-    extended = Relation(ext_schema, ext_columns)
-    parent = Relation(parent_schema, parent_columns)
+    extended = _rebuild(ext_schema, ext_columns)
+    parent = _rebuild(parent_schema, parent_columns)
     return solve_edge(extended, parent, fk_column, constraints, config)

@@ -26,6 +26,7 @@ from repro.constraints.dc import (
 )
 from repro.phase2.hypergraph import ConflictHypergraph
 from repro.relational.relation import Relation
+from repro.relational.store import NumpyColumnStore
 
 __all__ = [
     "build_conflict_graph",
@@ -197,7 +198,7 @@ def _in_memory(relation: Relation, names: Iterable[str]) -> Relation:
     names = sorted(set(names))
     return Relation(
         relation.schema.project(names),
-        {name: relation.column(name) for name in names},
+        NumpyColumnStore({name: relation.column(name) for name in names}),
     )
 
 

@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.errors import ColoringError
@@ -37,6 +35,7 @@ from repro.phase2.invalid import solve_invalid_tuples
 from repro.relational.ordering import sort_key, tuple_sort_key
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec
+from repro.relational.types import Dtype
 
 __all__ = [
     "Phase2Stats",
@@ -64,14 +63,15 @@ def partition_by_combo(
 
 
 class FreshKeyFactory:
-    """Mints primary-key values that do not collide with existing ones."""
+    """Mints primary-key values that do not collide with existing ones:
+    integers for an INT key column, ``synthetic_<n>`` for a STR one."""
 
-    def __init__(self, existing: Sequence[object]) -> None:
+    def __init__(self, existing: Sequence[object], dtype: Dtype) -> None:
         self._existing: Set[object] = set(existing)
-        ints = [k for k in self._existing if isinstance(k, (int, np.integer))]
-        self._next_int = (int(max(ints)) + 1) if ints else 1
-        all_ints = len(ints) == len(self._existing)
-        self._numeric = all_ints  # an empty key set also mints integers
+        self._numeric = dtype is Dtype.INT
+        self._next_int = 1
+        if self._numeric and self._existing:
+            self._next_int = int(max(self._existing)) + 1
 
     def mint(self) -> object:
         if self._numeric:
@@ -184,7 +184,8 @@ def run_phase2(
         raise ValueError("per-key caps need the combo partitions")
     stats = Phase2Stats()
     key_column = r2.schema.key
-    pool = MintPool(FreshKeyFactory(list(r2.column(key_column))))
+    key_dtype = r2.schema.dtype(key_column)
+    pool = MintPool(FreshKeyFactory(list(r2.column(key_column)), key_dtype))
     new_r2_rows: List[tuple] = []
     coloring: Dict[int, object] = {}
 
@@ -318,7 +319,6 @@ def run_phase2(
         missing = assignment.n - len(coloring)
         raise ColoringError(f"{missing} rows ended up uncolored")
     fk_values = [coloring[row] for row in range(assignment.n)]
-    key_dtype = r2.schema.dtype(key_column)
     r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
     r2_hat = r2.append_rows(new_r2_rows)
     return Phase2Result(

@@ -16,7 +16,8 @@ column store, keeping peak memory proportional to the block size.
 single pass.  Each block's integer check is whole-list builtins, not a
 per-cell Python loop.  Errors cite ``path:line`` with the physical line
 the offending record starts on, which a quoted multi-line field makes
-differ from the record number.
+differ from the record number.  ``csv`` yields ``str`` only, so the
+relations skip the STR-column type scan.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ import numpy as np
 from repro.errors import SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
-from repro.relational.store import DEFAULT_CHUNK_ROWS, MmapStoreWriter
+from repro.relational.store import (
+    DEFAULT_CHUNK_ROWS,
+    MmapStoreWriter,
+    NumpyColumnStore,
+)
 from repro.relational.types import Dtype
 
 __all__ = [
@@ -271,7 +276,7 @@ def read_csv(
         )
         for spec in schema
     }
-    return Relation(_with_key(schema, key), columns)
+    return Relation(_with_key(schema, key), NumpyColumnStore(columns))
 
 
 def read_csv_store(
@@ -389,14 +394,10 @@ def read_csv_infer(
                     blocks[:] = [_as_text(block) for block in blocks]
                 blocks.append(np.asarray(values, dtype=object))
     schema = _inferred_schema(header, is_int, saw_rows, key)
-    return Relation(
-        schema,
-        {
-            spec.name: (
-                np.concatenate(blocks)
-                if blocks
-                else np.asarray([], dtype=object)
-            )
-            for spec, blocks in zip(schema, parts)
-        },
-    )
+    columns = {
+        spec.name: (
+            np.concatenate(blocks) if blocks else np.asarray([], dtype=object)
+        )
+        for spec, blocks in zip(schema, parts)
+    }
+    return Relation(schema, NumpyColumnStore(columns))

@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import KeyLookupError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.relational.store import NumpyColumnStore
 
 __all__ = [
     "fk_join",
@@ -118,7 +119,8 @@ def materialize_fk_join(
     join strategies — the sorted-key ``searchsorted`` above and the
     per-row dict reference — materialise their result through this one
     function, so the output relation is byte-identical whichever found
-    the row mapping.
+    the row mapping.  The view's columns come from checked relations,
+    so it is built on the store path, without a second type scan.
     """
     schema = join_view_schema(r1, r2, fk_column, include_fk=True)
     columns = {}
@@ -127,7 +129,7 @@ def materialize_fk_join(
             columns[spec.name] = r1.column(spec.name)
         else:
             columns[spec.name] = r2.column(spec.name)[r2_rows]
-    joined = Relation(schema, columns)
+    joined = Relation(schema, NumpyColumnStore(columns))
     if output_columns is not None:
         joined = joined.project(list(output_columns))
     return joined

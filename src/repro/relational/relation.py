@@ -45,6 +45,7 @@ from repro.relational.store import (
     MmapStoreWriter,
     NumpyColumnStore,
     factorize_objects,
+    require_str,
     sorted_dictionary,
 )
 from repro.relational.types import Dtype, infer_dtype
@@ -63,13 +64,11 @@ def _scalar(value: object) -> object:
 def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(codes, uniques)`` for a column with ``uniques[codes] == arr``.
 
-    Integer columns go through ``np.unique``.  Object columns are
+    Integer columns go through ``np.unique``.  String columns are
     encoded by hashing and only their k distinct values are sorted
     (:func:`~repro.relational.store.factorize_objects`), which equals
     ``np.unique(arr, return_inverse=True)`` without an n-row object
-    sort.  Values that cannot be ordered (mixed types) keep first-seen
-    codes, which only guarantee equal-value/equal-code.  Either
-    property suffices for the lexsort-and-split group kernels.
+    sort.
     """
     if len(arr) == 0:
         return np.empty(0, dtype=np.int64), arr
@@ -79,57 +78,38 @@ def _factorize(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64, copy=False), uniques
 
 
-#: Values per update of the object-column hash streams: bounds the
+#: Values per update of the string-column hash streams: bounds the
 #: transient per-value lists whatever the chunk size.
 _HASH_SLICE = 8_192
 
 
-def _cell_bytes(value: object) -> Tuple[bytes, bytes]:
-    """``(tag, bytes)`` of one object-column value for the content hash."""
-    value = _scalar(value)
-    if isinstance(value, str):
-        return b"s", value.encode("utf-8", "surrogatepass")
-    return b"o", repr(value).encode()
+def _hash_str_column(chunks: Iterable[np.ndarray]) -> bytes:
+    """The two stream digests of one string column, concatenated.
 
-
-def _hash_object_column(chunks: Iterable[np.ndarray]) -> bytes:
-    """The three stream digests of one object column, concatenated.
-
-    The streams are one type tag per value (``s`` for a string, ``o``
-    for anything else, hashed as its ``repr``), each value's byte
-    length as ``<i8``, and the concatenated bytes.  The lengths rule
-    out separator collisions and the tags keep ``5`` apart from
-    ``"5"``.  Values are fed in slices of at most :data:`_HASH_SLICE`,
-    and the result depends on the values alone, not on how they are
-    chunked.
+    The streams are each value's UTF-8 byte length as ``<i8`` and the
+    concatenated bytes; the lengths rule out separator collisions.
+    Values are fed in slices of at most :data:`_HASH_SLICE`, and the
+    result depends on the values alone, not on how they are chunked.
     """
-    tags, lengths, data = (hashlib.sha256() for _ in range(3))
+    lengths, data = hashlib.sha256(), hashlib.sha256()
     for chunk in chunks:
         for lo in range(0, len(chunk), _HASH_SLICE):
-            values = chunk[lo : lo + _HASH_SLICE].tolist()
-            try:
-                # ``str.encode`` raises TypeError on any non-str value.
-                raw = list(
-                    map(
-                        str.encode,
-                        values,
-                        repeat("utf-8"),
-                        repeat("surrogatepass"),
-                    )
+            raw = list(
+                map(
+                    str.encode,
+                    chunk[lo : lo + _HASH_SLICE].tolist(),
+                    repeat("utf-8"),
+                    repeat("surrogatepass"),
                 )
-                tags.update(b"s" * len(raw))
-            except TypeError:
-                cells = list(map(_cell_bytes, values))
-                tags.update(b"".join(tag for tag, _ in cells))
-                raw = [cell for _, cell in cells]
+            )
             lengths.update(
                 np.fromiter(map(len, raw), dtype="<i8", count=len(raw))
             )
             data.update(b"".join(raw))
-    return tags.digest() + lengths.digest() + data.digest()
+    return lengths.digest() + data.digest()
 
 
-#: ``(uniques, slice_fn)`` — global sorted-or-stable uniques of a column
+#: ``(uniques, slice_fn)`` — the global sorted uniques of a column
 #: plus a callable mapping ``(start, stop)`` to that range's global codes.
 _CodesInfo = Tuple[np.ndarray, Callable[[int, int], np.ndarray]]
 
@@ -145,6 +125,9 @@ class Relation:
     Operations with inherently materialised results (``take``,
     ``where_mask``, ``concat``, ``append_rows``, ``copy``) return in-RAM
     relations whatever the input backend.
+
+    A mapping is where values enter: its STR columns must hold ``str``
+    (:func:`require_str`).  A store is taken as is, unscanned.
     """
 
     def __init__(
@@ -187,6 +170,8 @@ class Relation:
             arr = np.asarray(
                 columns[spec.name], dtype=_storage_dtype(spec.dtype)
             )
+            if spec.dtype is Dtype.STR:
+                require_str(spec.name, arr.tolist())
             arr.setflags(write=False)
             self._columns[spec.name] = arr
             lengths.add(len(arr))
@@ -279,7 +264,7 @@ class Relation:
     ) -> "Relation":
         """A disk-backed copy of this relation (same schema and values).
 
-        Object columns are dictionary-encoded on disk; ``directory=None``
+        String columns are dictionary-encoded on disk; ``directory=None``
         writes into a temporary directory whose lifetime is tied to the
         returned relation's store.
         """
@@ -317,8 +302,8 @@ class Relation:
         relational half of the dependency-keyed edge cache: an edge's
         fingerprint starts from the content hashes of the relations its
         solve reads.  Memoized — relations are immutable.  Integer
-        columns hash their ``<i8`` bytes, object columns three streams
-        (:func:`_hash_object_column`).
+        columns hash their ``<i8`` bytes, string columns two streams
+        (:func:`_hash_str_column`).
         """
         if self._content_hash is not None:
             return self._content_hash
@@ -341,7 +326,7 @@ class Relation:
                         np.ascontiguousarray(chunk, dtype="<i8").tobytes()
                     )
             else:
-                digest.update(_hash_object_column(chunks))
+                digest.update(_hash_str_column(chunks))
         self._content_hash = digest.hexdigest()
         return self._content_hash
 
@@ -432,10 +417,7 @@ class Relation:
         return out
 
     def where_mask(self, mask: np.ndarray) -> "Relation":
-        return Relation(
-            self.schema,
-            {name: self.column(name)[mask] for name in self.schema.names},
-        )
+        return self._gather(mask)
 
     def select(self, predicate: Predicate) -> "Relation":
         return self.where_mask(self.mask(predicate))
@@ -444,11 +426,11 @@ class Relation:
         return int(self.mask(predicate).sum())
 
     def take(self, indices: Sequence[int]) -> "Relation":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Relation(
-            self.schema,
-            {name: self.column(name)[idx] for name in self.schema.names},
-        )
+        return self._gather(np.asarray(indices, dtype=np.int64))
+
+    def _gather(self, index: np.ndarray) -> "Relation":
+        columns = {n: self.column(n)[index] for n in self.schema.names}
+        return Relation(self.schema, NumpyColumnStore(columns))
 
     def project(self, names: Sequence[str]) -> "Relation":
         sub = self.schema.project(names)
@@ -461,9 +443,7 @@ class Relation:
         the fused-code group-by kernels and are shared with every other
         consumer (conflict-edge enumeration, marginal binning), so a
         column is scanned at most once per relation lifetime.  Codes
-        follow the sorted order of the values (``np.unique``'s codes),
-        except on object columns whose values cannot be ordered: their
-        first-seen codes only guarantee equal-value/equal-code.
+        follow the sorted order of the values (``np.unique``'s codes).
 
         Chunked relations factorize in two streaming passes (global
         uniques, then per-chunk code mapping); dictionary-encoded columns
@@ -485,9 +465,6 @@ class Relation:
             self._code_cache[name] = entry
         return entry
 
-    # Backward-compatible private alias (pre-1.x internal name).
-    _column_codes = codes
-
     def _codes_info(self, name: str) -> _CodesInfo:
         """Global uniques plus a per-range code mapper, without holding
         full-column codes (unless they are already cached)."""
@@ -502,10 +479,6 @@ class Relation:
         values = store.dictionary(name)
         if values is not None:
             uniques, remap = sorted_dictionary(values)
-            if remap is None:
-                # Unsortable dictionary: disk codes already satisfy
-                # equal-value/equal-code, all the group kernels need.
-                return uniques, lambda a, b: store.codes_slice(name, a, b)
             return uniques, lambda a, b: remap[store.codes_slice(name, a, b)]
         parts = [
             np.unique(store.column_slice(name, a, b))
@@ -543,7 +516,7 @@ class Relation:
         if self._store.is_chunked:
             return self._group_slices_chunked(names)
         cols = [self.column(name) for name in names]
-        codes = [self._column_codes(name)[0] for name in names]
+        codes = [self.codes(name)[0] for name in names]
         # lexsort treats its *last* key as primary; reverse so names[0] leads.
         order = np.lexsort(codes[::-1])
         stacked = np.vstack([c[order] for c in codes])
@@ -685,7 +658,8 @@ class Relation:
         """A copy of this relation with one extra column appended.
 
         On a chunked relation the existing columns stay on disk; only the
-        new column is held in RAM, overlaid via a composite store.
+        new column is held in RAM, overlaid via a composite store.  Only
+        the new column is type-checked.
         """
         if spec.name in self.schema:
             raise SchemaError(f"column {spec.name!r} already exists")
@@ -695,20 +669,16 @@ class Relation:
                 f"{self._n} rows"
             )
         schema = self.schema.extend([spec])
-        extra = np.asarray(values, dtype=_storage_dtype(spec.dtype))
+        added = Relation(Schema([spec]), {spec.name: values})
         if self._store.is_chunked:
-            extra.setflags(write=False)
             parts = {
                 name: (self._store, name) for name in self.schema.names
             }
-            parts[spec.name] = (
-                NumpyColumnStore({spec.name: extra}),
-                spec.name,
-            )
+            parts[spec.name] = (added.store, spec.name)
             return Relation(schema, CompositeStore(parts))
         columns = dict(self._columns)
-        columns[spec.name] = extra
-        return Relation(schema, columns)
+        columns[spec.name] = added.column(spec.name)
+        return Relation(schema, NumpyColumnStore(columns))
 
     def drop_column(self, name: str) -> "Relation":
         if name not in self.schema:
@@ -717,34 +687,26 @@ class Relation:
         return self.project(keep)
 
     def append_rows(self, rows: Iterable[Sequence[object]]) -> "Relation":
-        """A copy of this relation with extra row tuples appended."""
+        """A copy of this relation with extra row tuples appended (only
+        the new rows are type-checked)."""
         rows = list(rows)
         if not rows:
             return self
-        names = self.schema.names
-        columns = {}
-        for i, name in enumerate(names):
-            extra = np.asarray(
-                [row[i] for row in rows],
-                dtype=_storage_dtype(self.schema.dtype(name)),
-            )
-            columns[name] = np.concatenate([self.column(name), extra])
-        return Relation(self.schema, columns)
+        return self.concat(Relation.from_rows(self.schema, rows))
 
     def concat(self, other: "Relation") -> "Relation":
-        if other.schema.names != self.schema.names:
+        typed = [(spec.name, spec.dtype) for spec in self.schema]
+        if [(spec.name, spec.dtype) for spec in other.schema] != typed:
             raise SchemaError("cannot concat relations with different schemas")
         columns = {
             name: np.concatenate([self.column(name), other.column(name)])
             for name in self.schema.names
         }
-        return Relation(self.schema, columns)
+        return Relation(self.schema, NumpyColumnStore(columns))
 
     def copy(self) -> "Relation":
-        return Relation(
-            self.schema,
-            {name: self.column(name).copy() for name in self.schema.names},
-        )
+        columns = {n: self.column(n).copy() for n in self.schema.names}
+        return Relation(self.schema, NumpyColumnStore(columns))
 
     # ------------------------------------------------------------------
     # Key utilities
@@ -800,39 +762,33 @@ class Relation:
         Raises :class:`KeyLookupError` for a lookup value absent from the
         key column and :class:`SchemaError` for duplicate keys.  Lookup
         values are *not* coerced to the key dtype (``'7'`` or ``7.9``
-        must not match key ``7``); incomparable value families fall back
-        to the exact dict-based lookup.
+        must not match key ``7``).
         """
         lookups = np.asarray(values)
+        sorter, sorted_keys = self._key_sorter()
+        if len(lookups) == 0:
+            return np.empty(0, dtype=np.int64)
         try:
-            sorter, sorted_keys = self._key_sorter()
-            if len(lookups) == 0:
-                return np.empty(0, dtype=np.int64)
             pos = np.searchsorted(sorted_keys, lookups)
-            pos = np.minimum(pos, max(self._n - 1, 0))
-            found = (
-                sorted_keys[pos] == lookups
-                if self._n
-                else np.zeros(len(lookups), dtype=bool)
-            )
-            if not np.all(found):
-                missing = lookups[np.flatnonzero(~found)[0]]
-                if isinstance(missing, np.generic):
-                    missing = missing.item()
-                raise KeyLookupError(f"key value {missing!r} not found")
-            return sorter[pos].astype(np.int64, copy=False)
         except TypeError:
-            index = self.key_index()
-            try:
-                return np.fromiter(
-                    (index[v] for v in lookups.tolist()),
-                    dtype=np.int64,
-                    count=len(lookups),
-                )
-            except KeyError as exc:
-                raise KeyLookupError(
-                    f"key value {exc.args[0]!r} not found"
-                ) from None
+            # Lookups that do not order against the keys are not keys.
+            keys = set(sorted_keys.tolist())
+            for value in lookups.tolist():
+                if value not in keys:
+                    raise KeyLookupError(
+                        f"key value {value!r} not found"
+                    ) from None
+            raise
+        pos = np.minimum(pos, max(self._n - 1, 0))
+        found = (
+            sorted_keys[pos] == lookups
+            if self._n
+            else np.zeros(len(lookups), dtype=bool)
+        )
+        if not np.all(found):
+            missing = _scalar(lookups[np.flatnonzero(~found)[0]])
+            raise KeyLookupError(f"key value {missing!r} not found")
+        return sorter[pos].astype(np.int64, copy=False)
 
     def __repr__(self) -> str:
         return f"Relation({self.schema!r}, n={self._n})"

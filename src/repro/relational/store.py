@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -62,6 +63,7 @@ __all__ = [
     "StorageOptions",
     "factorize_objects",
     "first_seen_codes",
+    "require_str",
     "sorted_dictionary",
 ]
 
@@ -98,6 +100,18 @@ def _npy_header(rows: int) -> bytes:
     )
 
 
+def require_str(column: str, values: Iterable[object]) -> None:
+    """Raise :class:`SchemaError` unless every value is a ``str`` (or a
+    subclass such as ``np.str_``): the check on values entering a STR
+    column.  Each distinct type is tested once, in first-seen order."""
+    for kind in dict.fromkeys(map(type, values)):
+        if not issubclass(kind, str):
+            raise SchemaError(
+                f"column {column!r} holds a value of type "
+                f"{kind.__name__}; STR columns hold str only"
+            )
+
+
 def first_seen_codes(
     values: Sequence[object], table: Dict[object, int]
 ) -> np.ndarray:
@@ -117,7 +131,7 @@ def first_seen_codes(
 
 def sorted_dictionary(
     dictionary: Sequence[Any],
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """``(uniques, remap)``: a dictionary in sorted order.
 
     ``remap[code]`` is the position of ``dictionary[code]`` in the
@@ -125,14 +139,10 @@ def sorted_dictionary(
     the codes ``np.unique(..., return_inverse=True)`` gives.  Only the
     k dictionary values are sorted, never the n coded rows, and by
     Python's ``sorted``, which orders strings faster than an object
-    ``np.argsort``.  Values that cannot be ordered (mixed types) keep
-    their order, with ``remap`` ``None``.
+    ``np.argsort``.
     """
     k = len(dictionary)
-    try:
-        perm = sorted(range(k), key=dictionary.__getitem__)
-    except TypeError:
-        return np.fromiter(dictionary, dtype=object, count=k), None
+    perm = sorted(range(k), key=dictionary.__getitem__)
     order = np.fromiter(perm, dtype=np.int64, count=k)
     remap = np.empty(k, dtype=np.int64)
     remap[order] = np.arange(k, dtype=np.int64)
@@ -143,21 +153,19 @@ def sorted_dictionary(
 
 
 def factorize_objects(
-    values: Sequence[object],
+    values: Sequence[str],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(codes, uniques)`` of object values, ``uniques[codes] == values``.
+    """``(codes, uniques)`` of string values, ``uniques[codes] == values``.
 
-    Equal to ``np.unique(values, return_inverse=True)`` whenever the
-    values can be ordered, without sorting the n values: they are
-    hashed to first-seen codes (:func:`first_seen_codes`) and only the
-    k distinct ones are sorted (:func:`sorted_dictionary`).  Values
-    that cannot be ordered keep first-seen codes, which only guarantee
-    equal-value/equal-code.
+    Equal to ``np.unique(values, return_inverse=True)`` without sorting
+    the n values: they are hashed to first-seen codes
+    (:func:`first_seen_codes`) and only the k distinct ones are sorted
+    (:func:`sorted_dictionary`).
     """
     table: Dict[object, int] = {}
     codes = first_seen_codes(values, table)
     uniques, remap = sorted_dictionary(list(table))
-    return (codes if remap is None else remap[codes]), uniques
+    return remap[codes], uniques
 
 
 class ColumnStore:
@@ -281,9 +289,9 @@ class MmapColumnStore(ColumnStore):
             name = entry["name"]
             self._files[name] = self._directory / entry["file"]
             if entry["kind"] == "dict":
-                self._dicts[name] = list(
-                    manifest["dictionaries"].get(name, [])
-                )
+                values = list(manifest["dictionaries"].get(name, []))
+                require_str(name, values)
+                self._dicts[name] = values
             else:
                 self._dicts[name] = None
         self._names = tuple(self._files)
@@ -435,10 +443,6 @@ class CompositeStore(ColumnStore):
         return CompositeStore({n: self._part(n) for n in names})
 
 
-def _json_safe(value: object) -> object:
-    return value.item() if isinstance(value, np.generic) else value
-
-
 class MmapStoreWriter:
     """Streams row blocks into a new :class:`MmapColumnStore`.
 
@@ -446,11 +450,12 @@ class MmapStoreWriter:
     ``"int"`` (raw int64) or ``"dict"`` (dictionary-encoded objects).
     Blocks appended via :meth:`append` may have any length — ``chunk_rows``
     is purely the read-side granularity recorded in the manifest.
-    Each block of an object column is factorized by
-    :func:`factorize_objects`, the in-RAM factorizer, and its uniques
-    get dictionary codes in first-seen order: a value's code is its rank
-    of first appearance, each block's new values taken in sorted order
-    (row order when they cannot be sorted).
+    Each block of a string column is factorized like the in-RAM
+    :func:`factorize_objects`, and its uniques get dictionary codes in
+    first-seen order: a value's code is its rank of first appearance,
+    each block's new values taken in sorted order.  A block's lengths
+    and the k distinct values of each string column are checked before
+    any column is written, so a rejected block leaves the store as is.
     """
 
     def __init__(
@@ -502,24 +507,28 @@ class MmapStoreWriter:
         """Append one row block given as per-column sequences."""
         if self._finalized:
             raise SchemaError("store writer is already finalized")
-        lengths = set()
+        pending: Dict[str, np.ndarray] = {}
+        fresh: Dict[str, List[object]] = {}
         for name, kind in self._columns:
             if name not in block:
                 raise SchemaError(f"block is missing column {name!r}")
             if kind == "int":
-                data = np.asarray(block[name], dtype=np.int64)
-            else:
-                codes, uniques = factorize_objects(
-                    np.asarray(block[name], dtype=object).tolist()
-                )
-                table = self._tables[name]
-                data = first_seen_codes(uniques.tolist(), table)[codes]
-            lengths.add(len(data))
-            data.astype(_DISK_DTYPE, copy=False).tofile(self._handles[name])
+                pending[name] = np.asarray(block[name], dtype=np.int64)
+                continue
+            values = np.asarray(block[name], dtype=object).tolist()
+            table: Dict[object, int] = {}
+            codes = first_seen_codes(values, table)
+            require_str(name, table)
+            uniques, remap = sorted_dictionary(list(table))
+            pending[name] = remap[codes]
+            fresh[name] = uniques.tolist()
+        lengths = set(map(len, pending.values()))
         if len(lengths) > 1:
-            raise SchemaError(
-                f"ragged block: lengths {sorted(lengths)}"
-            )
+            raise SchemaError(f"ragged block: lengths {sorted(lengths)}")
+        for name, data in pending.items():
+            if name in fresh:
+                data = first_seen_codes(fresh[name], self._tables[name])[data]
+            data.astype(_DISK_DTYPE, copy=False).tofile(self._handles[name])
         self._num_rows += lengths.pop() if lengths else 0
 
     def discard(self) -> None:
@@ -550,19 +559,6 @@ class MmapStoreWriter:
             handle.seek(0)
             handle.write(_npy_header(self._num_rows))
             handle.close()
-        dictionaries = {}
-        for name, table in self._tables.items():
-            try:
-                dictionaries[name] = [_json_safe(v) for v in table]
-                json.dumps(dictionaries[name])
-            except TypeError:
-                # Un-finalize so the caller's discard() still removes
-                # the half-written directory instead of no-opping.
-                self._finalized = False
-                raise SchemaError(
-                    f"column {name!r} holds values the on-disk store "
-                    "cannot serialise; use the in-RAM backend"
-                ) from None
         manifest = {
             "version": _MANIFEST_VERSION,
             "num_rows": self._num_rows,
@@ -571,7 +567,9 @@ class MmapStoreWriter:
                 {"name": name, "kind": kind, "file": f"col_{index}.npy"}
                 for index, (name, kind) in enumerate(self._columns)
             ],
-            "dictionaries": dictionaries,
+            "dictionaries": {
+                name: list(table) for name, table in self._tables.items()
+            },
         }
         (self._directory / _MANIFEST).write_text(json.dumps(manifest))
         store = MmapColumnStore(self._directory)
@@ -581,19 +579,17 @@ class MmapStoreWriter:
 
 @dataclass(frozen=True)
 class StorageOptions:
-    """How relations built from a spec should be stored.
+    """How relations built from a spec spill to the on-disk store.
 
     ``directory=None`` puts each converted relation in its own
     temporary directory, cleaned up when the store is garbage-collected.
+    A spec that keeps its relations in RAM passes no options at all.
     """
 
-    storage: str = "numpy"
     chunk_rows: int = DEFAULT_CHUNK_ROWS
     directory: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.storage not in ("numpy", "mmap"):
-            raise SchemaError(f"unknown storage backend {self.storage!r}")
         if self.chunk_rows < 1:
             raise SchemaError("chunk_rows must be >= 1")
 

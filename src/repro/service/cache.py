@@ -30,12 +30,14 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.errors import SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
 from repro.relational.store import (
     DEFAULT_CHUNK_ROWS,
     MmapColumnStore,
     MmapStoreWriter,
+    NumpyColumnStore,
 )
 from repro.relational.types import Dtype
 
@@ -87,10 +89,11 @@ def _write_relation_store(
         raise
 
 
-def _load_column(store: MmapColumnStore, name: str) -> np.ndarray:
-    column = store.column(name)
-    if column.dtype != object:
-        column = np.ascontiguousarray(column, dtype=np.int64)
+def _load_column(store: MmapColumnStore, spec: ColumnSpec) -> np.ndarray:
+    """A cached column as ``spec`` declares it (checked on open)."""
+    column = store.column(spec.name)
+    if (column.dtype == object) != (spec.dtype is Dtype.STR):
+        raise SchemaError(f"cached column {spec.name!r} is mistyped")
     return column
 
 
@@ -205,7 +208,8 @@ class EdgeCache:
             shutil.rmtree(tmp)
         try:
             fk_relation = Relation(
-                Schema((entry.fk_spec,)), {entry.fk_spec.name: entry.fk_values}
+                Schema((entry.fk_spec,)),
+                NumpyColumnStore({entry.fk_spec.name: entry.fk_values}),
             )
             _write_relation_store(tmp / "fk", fk_relation, self._chunk_rows)
             _write_relation_store(
@@ -253,7 +257,7 @@ class EdgeCache:
             return None
         fk_spec = ColumnSpec(meta["fk"]["name"], Dtype(meta["fk"]["dtype"]))
         fk_store = MmapColumnStore(directory / "fk")
-        fk_values = _load_column(fk_store, fk_spec.name)
+        fk_values = _load_column(fk_store, fk_spec)
         columns = [
             ColumnSpec(item["name"], Dtype(item["dtype"]))
             for item in meta["parent"]["columns"]
@@ -262,10 +266,12 @@ class EdgeCache:
         parent_store = MmapColumnStore(directory / "parent")
         parent = Relation(
             schema,
-            {
-                spec.name: _load_column(parent_store, spec.name)
-                for spec in columns
-            },
+            NumpyColumnStore(
+                {
+                    spec.name: _load_column(parent_store, spec)
+                    for spec in columns
+                }
+            ),
         )
         return CachedEdge(
             fk_spec=fk_spec,

@@ -54,22 +54,26 @@ def solve_model(
     for j in model.integer_indices:
         integrality[j] = 1
 
-    options: Dict[str, float] = {}
+    options: Dict[str, object] = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if mip_gap is not None:
         options["mip_rel_gap"] = float(mip_gap)
 
-    def milp(objective: np.ndarray) -> optimize.OptimizeResult:
+    def milp(settings: Dict[str, object]) -> optimize.OptimizeResult:
         return optimize.milp(
-            c=objective,
+            c=c,
             constraints=constraints,
             integrality=integrality,
             bounds=optimize.Bounds(lower, upper),
-            options=options,
+            options=settings,
         )
 
-    result = milp(c)
+    result = milp(options)
+    if result.status == 4:
+        # HiGHS's presolve can end a tiny infeasible or unbounded MILP in
+        # "Solve error"; without presolve the same model is classified.
+        result = milp({**options, "presolve": False})
     if result.x is not None and result.status in (0, 1):
         x = np.asarray(result.x, dtype=np.float64)
         for j in model.integer_indices:
@@ -82,12 +86,4 @@ def solve_model(
         return SolveResult(SolveStatus.INFEASIBLE)
     if result.status == 3:
         return SolveResult(SolveStatus.UNBOUNDED)
-    if result.status == 4:
-        # HiGHS's "unbounded or infeasible": the zero objective settles
-        # which — a feasible point means the real objective is unbounded.
-        feasibility = milp(np.zeros(n)).status
-        if feasibility == 0:
-            return SolveResult(SolveStatus.UNBOUNDED)
-        if feasibility == 2:
-            return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.ITERATION_LIMIT)

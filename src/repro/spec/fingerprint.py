@@ -72,9 +72,9 @@ NON_RESULT_OPTION_FIELDS = (
 )
 
 #: Bump when the fingerprint's byte layout changes — persisted cache
-#: entries keyed by an older scheme must miss, not collide.  Version 2:
-#: :meth:`Relation.content_hash` hashes object columns as three streams.
-_FINGERPRINT_VERSION = 2
+#: entries keyed by an older scheme must miss, not collide.  Version 3:
+#: :meth:`Relation.content_hash` hashes string columns as two streams.
+_FINGERPRINT_VERSION = 3
 
 
 def _canonical(value: object) -> object:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.parser import parse_cc, parse_dc
@@ -29,10 +31,13 @@ from repro.relational.csvio import (
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
-from repro.relational.store import StorageOptions
-from repro.relational.types import Dtype
+from repro.relational.store import NumpyColumnStore, StorageOptions
+from repro.relational.types import Dtype, infer_dtype
 
 __all__ = ["RelationSpec", "EdgeSpec", "SynthesisSpec"]
+
+#: The array dtype a relation stores each column type as.
+_STORED = {Dtype.INT: np.int64, Dtype.STR: object}
 
 
 def _dtype_of(name: str) -> Dtype:
@@ -86,12 +91,12 @@ class RelationSpec:
     ) -> Relation:
         """Materialise the relation this spec describes.
 
-        With an ``"mmap"`` :class:`StorageOptions` the result is backed by
-        a chunked on-disk column store; a CSV source streams straight from
-        the file to disk without ever materialising the table.  The values
-        (and therefore the synthesis output) are identical either way.
+        With :class:`StorageOptions` the result is backed by a chunked
+        on-disk column store; a CSV source streams straight from the file
+        to disk without ever materialising the table.  The values (and
+        therefore the synthesis output) are identical either way.
         """
-        spill = storage is not None and storage.storage == "mmap"
+        spill = storage is not None
         if self.relation is not None:
             if spill and not self.relation.is_chunked:
                 return self.relation.to_store(
@@ -122,9 +127,14 @@ class RelationSpec:
                     f"relation {self.name!r}: cannot read csv "
                     f"{str(path)!r}: {exc}"
                 ) from None
+            if self.dtypes:
+                dtypes = {spec.name: spec.dtype for spec in built.schema}
+                built = self._apply_dtypes(built.columns, dtypes)
         else:
-            built = Relation.from_columns(dict(self.columns), key=self.key)
-        built = self._apply_dtypes(built)
+            built = self._apply_dtypes(
+                self.columns,
+                {n: infer_dtype(list(v)) for n, v in self.columns.items()},
+            )
         if spill:
             # Inline columns and dtype-overridden CSVs are small; convert
             # after the (identical) in-RAM build so overrides keep their
@@ -134,31 +144,40 @@ class RelationSpec:
             )
         return built
 
-    def _apply_dtypes(self, relation: Relation) -> Relation:
-        if not self.dtypes:
-            return relation
+    def _apply_dtypes(
+        self,
+        columns: Mapping[str, Sequence[object]],
+        dtypes: Mapping[str, Dtype],
+    ) -> Relation:
+        """``columns`` typed by ``dtypes``, after coercing each column
+        declared in ``self.dtypes`` with ``str()``/``int()`` from its
+        values as stored (a bool column declared str reads ``"1"``)."""
         specs: List[ColumnSpec] = []
-        columns: Dict[str, Sequence[object]] = {}
-        for spec in relation.schema:
-            declared = self.dtypes.get(spec.name)
-            if declared is None or _dtype_of(declared) is spec.dtype:
-                specs.append(spec)
-                columns[spec.name] = relation.column(spec.name)
-                continue
-            dtype = _dtype_of(declared)
-            values = relation.column(spec.name)
-            if dtype is Dtype.STR:
-                columns[spec.name] = [str(v) for v in values.tolist()]
-            else:
+        typed: Dict[str, Sequence[object]] = dict(columns)
+        for name, dtype in dtypes.items():
+            declared = self.dtypes.get(name) if self.dtypes else None
+            if declared is not None:
+                stored = np.asarray(columns[name], dtype=_STORED[dtype])
+                values = stored.tolist()
+                dtype = _dtype_of(declared)
+                convert = str if dtype is Dtype.STR else int
                 try:
-                    columns[spec.name] = [int(v) for v in values.tolist()]
+                    coerced = [convert(v) for v in values]
                 except (TypeError, ValueError):
                     raise SchemaError(
-                        f"relation {self.name!r}: column {spec.name!r} "
+                        f"relation {self.name!r}: column {name!r} "
                         "declared int but holds non-integer values"
                     ) from None
-            specs.append(ColumnSpec(spec.name, dtype))
-        return Relation(Schema(specs, key=relation.schema.key), columns)
+                typed[name] = np.asarray(coerced, dtype=_STORED[dtype])
+            specs.append(ColumnSpec(name, dtype))
+        schema = Schema(specs, key=self.key)
+        if self.columns is None:
+            # CSV cells are str and declared columns coerced: no check.
+            return Relation(schema, NumpyColumnStore(typed))
+        try:
+            return Relation(schema, typed)
+        except SchemaError as exc:
+            raise SchemaError(f"relation {self.name!r}: {exc}") from None
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"name": self.name}
@@ -490,7 +509,6 @@ class SynthesisSpec:
         if self.options.storage == "numpy":
             return None
         return StorageOptions(
-            storage=self.options.storage,
             chunk_rows=self.options.chunk_rows,
             directory=self.options.storage_dir,
         )

@@ -7,6 +7,7 @@ from repro.core.synthesizer import CExtensionSolver
 from repro.phase1.hybrid import run_phase1
 from repro.phase2.fk_assignment import FreshKeyFactory, run_phase2
 from repro.relational.join import fk_join
+from repro.relational.types import Dtype
 
 
 def _run(r1, r2, ccs, dcs, partitioned=True):
@@ -20,18 +21,18 @@ def _run(r1, r2, ccs, dcs, partitioned=True):
 
 class TestFreshKeyFactory:
     def test_integer_keys_continue_sequence(self):
-        factory = FreshKeyFactory([1, 2, 7])
+        factory = FreshKeyFactory([1, 2, 7], Dtype.INT)
         assert factory.mint() == 8
         assert factory.mint() == 9
 
     def test_string_keys_get_synthetic_names(self):
-        factory = FreshKeyFactory(["h1", "h2"])
+        factory = FreshKeyFactory(["h1", "h2"], Dtype.STR)
         minted = factory.mint()
         assert minted.startswith("synthetic_")
         assert factory.mint() != minted
 
     def test_empty_starts_at_one(self):
-        assert FreshKeyFactory([]).mint() == 1
+        assert FreshKeyFactory([], Dtype.INT).mint() == 1
 
 
 class TestRunningExample:

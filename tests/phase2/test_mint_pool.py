@@ -14,6 +14,7 @@ from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
 from repro.phase2.fk_assignment import FreshKeyFactory, MintPool, run_phase2
 from repro.relational.relation import Relation
+from repro.relational.types import Dtype
 
 
 def _fixture():
@@ -48,7 +49,7 @@ def _fixture():
 
 class TestMintPool:
     def test_take_prefers_released_keys(self):
-        factory = FreshKeyFactory([1, 2])
+        factory = FreshKeyFactory([1, 2], Dtype.INT)
         pool = MintPool(factory)
         first = pool.take(3)
         assert first == [3, 4, 5]
@@ -56,12 +57,12 @@ class TestMintPool:
         assert pool.take(3) == [4, 5, 6]
 
     def test_take_zero(self):
-        pool = MintPool(FreshKeyFactory([]))
+        pool = MintPool(FreshKeyFactory([], Dtype.INT))
         assert pool.take(0) == []
 
     def test_mint_drains_pool_first(self):
         """The invalid-tuple fallbacks mint through the pool too."""
-        pool = MintPool(FreshKeyFactory([1]))
+        pool = MintPool(FreshKeyFactory([1], Dtype.INT))
         pool.release([99])
         assert pool.mint() == 99
         assert pool.mint() == 2

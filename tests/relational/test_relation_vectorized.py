@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.metrics import dc_error, dc_error_naive
 from repro.constraints.parser import parse_dc
-from repro.errors import SchemaError
+from repro.errors import KeyLookupError, SchemaError
 from repro.phase2 import edges
 from repro.relational.join import fk_join, fk_join_naive
 from repro.relational.ordering import sort_key, tuple_sort_key
@@ -124,28 +124,31 @@ def test_key_positions_does_not_coerce_lookup_values():
     assert relation.key_positions([7.0]).tolist() == [1]
 
 
-def test_mixed_type_object_column_falls_back():
-    """Unsortable mixed values must still group and look up correctly."""
+def test_mixed_type_str_column_is_rejected():
+    """A STR column holds str only, and a lookup value of another type
+    than the keys is reported as not found."""
     schema = Schema(
         [ColumnSpec("k", Dtype.STR), ColumnSpec("v", Dtype.INT)], key="k"
     )
-    relation = Relation(
-        schema,
-        {
-            "k": np.asarray([1, "x", 2, "x", 1], dtype=object),
-            "v": np.asarray([0, 1, 2, 3, 4], dtype=np.int64),
-        },
-    )
-    assert relation.group_counts(["k"]) == relation.group_counts_naive(["k"])
-    assert relation.distinct(["k"]) == relation.distinct_naive(["k"])
+    with pytest.raises(SchemaError, match="column 'k' .* type int"):
+        Relation(
+            schema,
+            {
+                "k": np.asarray([1, "x", 2, "x", 1], dtype=object),
+                "v": np.asarray([0, 1, 2, 3, 4], dtype=np.int64),
+            },
+        )
     keyed = Relation(
         schema,
         {
-            "k": np.asarray([1, "x", 2], dtype=object),
+            "k": np.asarray(["1", "x", "2"], dtype=object),
             "v": np.asarray([0, 1, 2], dtype=np.int64),
         },
     )
-    assert keyed.key_positions(np.asarray(["x", 1], dtype=object)).tolist() == [1, 0]
+    lookups = np.asarray(["x", "1"], dtype=object)
+    assert keyed.key_positions(lookups).tolist() == [1, 0]
+    with pytest.raises(KeyLookupError, match="key value 1 not found"):
+        keyed.key_positions(np.asarray(["x", 1], dtype=object))
 
 
 def test_group_counts_empty_names():

@@ -95,14 +95,29 @@ class TestMmapStore:
         )
         with pytest.raises(SchemaError):
             writer.append({"a": [1, 2], "b": [1]})
+        writer.discard()
+
+    def test_rejected_ragged_block_leaves_store_unchanged(self, tmp_path):
+        writer = MmapStoreWriter(tmp_path / "s", [("a", "int"), ("b", "dict")])
+        with pytest.raises(SchemaError, match="ragged"):
+            writer.append({"a": [1, 2], "b": ["x"]})
+        writer.append({"a": [3], "b": ["y"]})
+        store = writer.finalize()
+        assert store.column("a").tolist() == [3]
+        assert store.column("b").tolist() == ["y"]
+        assert store.dictionary("b") == ["y"]
 
     def test_writer_rejects_unserialisable_dictionary(self, tmp_path):
-        writer = MmapStoreWriter(tmp_path / "s", [("a", "dict")])
-        values = np.empty(1, dtype=object)
-        values[0] = frozenset({"t"})  # hashable but not JSON-serialisable
-        writer.append({"a": values})
-        with pytest.raises(SchemaError):
-            writer.finalize()
+        """A dictionary column holds str only; a rejected block leaves
+        the store as it was."""
+        writer = MmapStoreWriter(tmp_path / "s", [("n", "int"), ("a", "dict")])
+        values = np.empty(2, dtype=object)
+        values[:] = ["t", frozenset({"t"})]  # hashable, not JSON-serialisable
+        with pytest.raises(SchemaError, match="'a' .* type frozenset"):
+            writer.append({"n": [1, 2], "a": values})
+        store = writer.finalize()
+        assert len(store.column("n")) == 0
+        assert store.dictionary("a") == []
 
     def test_temp_directory_lifecycle(self):
         rel = _sample_relation(20)
@@ -148,16 +163,22 @@ class TestMmapStore:
             store.column("a"), np.asarray([3, 1], dtype=np.int64)
         )
 
-    def test_aborted_to_store_cleans_up(self, tmp_path):
+    def test_aborted_to_store_cleans_up(self, tmp_path, monkeypatch):
         rel = _sample_relation(20)
         target = tmp_path / "abort"
-        values = np.empty(1, dtype=object)
-        values[0] = frozenset({"t"})  # finalize() rejects this dictionary
-        bad = Relation(
-            Schema([ColumnSpec("c", Dtype.STR)]), {"c": values}
-        )
-        with pytest.raises(SchemaError):
-            bad.to_store(chunk_rows=8, directory=target)
+        append = MmapStoreWriter.append
+        blocks = []
+
+        def failing_append(writer, block):
+            blocks.append(block)
+            if len(blocks) == 2:  # the second block hits a full disk
+                raise OSError(28, "No space left on device")
+            append(writer, block)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MmapStoreWriter, "append", failing_append)
+            with pytest.raises(OSError):
+                rel.to_store(chunk_rows=8, directory=target)
         assert not target.exists()
         # A later run can claim the same storage_dir.
         disk = rel.to_store(chunk_rows=8, directory=target)
@@ -255,12 +276,10 @@ class TestFrozenColumns:
 class TestStorageOptions:
     def test_validation(self):
         with pytest.raises(SchemaError):
-            StorageOptions(storage="feather")
-        with pytest.raises(SchemaError):
             StorageOptions(chunk_rows=0)
 
     def test_relation_directory(self, tmp_path):
-        options = StorageOptions(storage="mmap", directory=str(tmp_path))
+        options = StorageOptions(directory=str(tmp_path))
         assert options.relation_directory("events") == tmp_path / "events"
         assert StorageOptions().relation_directory("events") is None
 

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.solver import Model, solve_model
 from repro.solver.result import SolveStatus
@@ -36,6 +36,15 @@ class TestScipySolve:
         model.add_constraint({x.index: 1}, ">=", 5)
         assert solve_model(model).status is SolveStatus.INFEASIBLE
 
+    def test_presolve_solve_error_is_classified(self):
+        """HiGHS's presolve answers "Solve error" (status 4) for this
+        infeasible model; the solve without presolve classifies it."""
+        model = Model()
+        for upper in (0.0, 2.0, 0.0):
+            model.add_variable(upper=upper, integer=True)
+        model.add_constraint({0: 1.0, 1: -2.0, 2: 2.0}, "==", -1)
+        assert solve_model(model).status is SolveStatus.INFEASIBLE
+
     def test_solution_is_integral(self):
         model = Model()
         x = model.add_variable("x", integer=True, objective=-1)
@@ -44,30 +53,34 @@ class TestScipySolve:
         assert result.x[0] == 3
 
 
+@st.composite
+def _small_ilps(draw):
+    """``(costs, upper bounds, constraint rows)`` of an ILP over at most
+    three integer variables, each in ``[0, upper]``."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    c = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    upper = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    rows = [
+        (
+            draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
+            draw(st.sampled_from(_SENSES)),
+            draw(st.integers(-10, 20)),
+        )
+        for _ in range(m)
+    ]
+    return c, upper, rows
+
+
 class TestExhaustiveAgreement:
     @settings(max_examples=50, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        m=st.integers(0, 3),
-        data=st.data(),
-    )
-    def test_matches_enumeration_on_random_ilps(self, n, m, data):
+    @given(_small_ilps())
+    # Infeasible, and a "Solve error" for HiGHS's presolve.
+    @example(([0, 0, 0], [0, 2, 0], [([1, -2, 2], "==", -1)]))
+    def test_matches_enumeration_on_random_ilps(self, ilp):
         """The optimum over every integer point of the box (at most
         7**3 = 343 of them), or INFEASIBLE when none is feasible."""
-        c = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-        upper = data.draw(
-            st.lists(st.integers(0, 6), min_size=n, max_size=n)
-        )
-        rows = [
-            (
-                data.draw(
-                    st.lists(st.integers(-4, 4), min_size=n, max_size=n)
-                ),
-                data.draw(st.sampled_from(_SENSES)),
-                data.draw(st.integers(-10, 20)),
-            )
-            for _ in range(m)
-        ]
+        c, upper, rows = ilp
         model = Model()
         for cost, ub in zip(c, upper):
             model.add_variable(
