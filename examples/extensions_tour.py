@@ -4,8 +4,8 @@
    algorithms can be extended to conditions that contain disjunction").
 2. **Capacity constraints** — future-work item 1: bounding how many rows
    may share one foreign key (household size caps).  Declared on the
-   spec's FK edge, which routes Phase II to the registered ``"capacity"``
-   strategy — with its **soft** sibling (``"soft_capacity"``: overflow
+   spec's FK edge, which routes Phase II to the ``"capacity"`` strategy
+   — with its **soft** sibling (``"soft_capacity"``: overflow
    allowed but minimised and reported) and **quota coloring**
    (``"quota_coloring"``: per-combo caps) alongside.
 3. **DC discovery** — mining the Table 4-style constraints back out of a

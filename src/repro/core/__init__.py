@@ -8,11 +8,6 @@ from repro.core.snowflake import (
     SnowflakeResult,
     SnowflakeSynthesizer,
 )
-from repro.core.stages import (
-    phase2_strategies,
-    phase2_strategy,
-    register_phase2_strategy,
-)
 from repro.core.synthesizer import (
     CExtensionResult,
     CExtensionSolver,
@@ -33,7 +28,4 @@ __all__ = [
     "cc_errors",
     "dc_error",
     "evaluate",
-    "phase2_strategies",
-    "phase2_strategy",
-    "register_phase2_strategy",
 ]

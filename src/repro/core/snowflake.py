@@ -44,6 +44,7 @@ from repro.core.parallel_snowflake import (
 )
 from repro.core.synthesizer import CExtensionResult
 from repro.errors import SchemaError
+from repro.phase2.strategies import resolve_strategy
 from repro.relational import join
 from repro.relational.database import Database, ForeignKey
 from repro.relational.relation import Relation
@@ -61,14 +62,14 @@ class EdgeConstraints:
     """The CC/DC sets (and Phase-II strategy) attached to one FK edge.
 
     ``capacity`` caps how many child rows may share one parent key; when
-    set, the edge is solved with the registered ``"capacity"`` Phase-II
-    strategy.  ``strategy`` names any registered strategy explicitly and
-    overrides the capacity-implied default; ``options`` carries extra
-    strategy knobs.  ``solver_overrides`` shadows individual
-    :class:`SolverConfig` fields (time_limit, mip_gap, marginals, …) for
-    this edge only.  ``serialize`` opts the edge out of batch scheduling:
-    it is always solved alone, in-process, even when it would be
-    conflict-free with its layer mates.
+    set, the edge is solved with the ``"capacity"`` Phase-II strategy.
+    ``strategy`` names a strategy explicitly and overrides the
+    capacity-implied default; ``options`` carries extra strategy knobs
+    (see :mod:`repro.phase2.strategies`).  ``solver_overrides`` shadows
+    individual :class:`SolverConfig` fields (time_limit, mip_gap,
+    marginals, …) for this edge only.  ``serialize`` opts the edge out of
+    batch scheduling: it is always solved alone, in-process, even when it
+    would be conflict-free with its layer mates.
     """
 
     ccs: Sequence[CardinalityConstraint] = ()
@@ -81,13 +82,7 @@ class EdgeConstraints:
 
     def resolved_strategy(self) -> Tuple[str, Dict[str, object]]:
         """The ``(strategy, options)`` pair this edge solves with."""
-        options: Dict[str, object] = dict(self.options)
-        if self.capacity is not None:
-            options.setdefault("max_per_key", self.capacity)
-        name = self.strategy
-        if name is None:
-            name = "capacity" if self.capacity is not None else "coloring"
-        return name, options
+        return resolve_strategy(self.strategy, self.capacity, self.options)
 
     def effective_config(self, base: SolverConfig) -> SolverConfig:
         """``base`` with this edge's solver overrides applied."""

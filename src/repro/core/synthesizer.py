@@ -13,9 +13,9 @@ The guarantees match Propositions 4.7 / 5.5: all DCs hold exactly in
 ``r1_hat``; CCs are exact for intersection-free inputs and low-error
 otherwise.
 
-Phase II is dispatched through the :mod:`repro.core.stages` registry:
-``strategy="coloring"`` (the default Algorithm 3/4 list coloring) or any
-other registered strategy such as ``"capacity"``.
+Phase II runs the strategy named by ``strategy`` (see
+:mod:`repro.phase2.strategies`): ``"coloring"``, the default Algorithm
+3/4 list coloring, or a capped variant such as ``"capacity"``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from repro.constraints.cc import CardinalityConstraint, validate_cc_set
 from repro.constraints.dc import DenialConstraint
 from repro.core.config import SolverConfig
 from repro.core.metrics import ErrorReport, evaluate
-from repro.core.stages import phase2_strategy
 from repro.errors import SchemaError
 from repro.phase1.hybrid import Phase1Result, run_phase1
 from repro.phase2.fk_assignment import Phase2Result
+from repro.phase2.strategies import phase2_strategy
 from repro.relational import join
 from repro.relational.relation import Relation
 
@@ -106,9 +106,9 @@ class CExtensionSolver:
 
         ``r1`` may contain the FK column (its values are ignored and
         dropped) or omit it.  ``r2`` must declare a primary key.
-        ``strategy`` names the registered Phase-II stage to run
-        (``"coloring"`` by default; ``"capacity"`` takes a
-        ``max_per_key`` option in ``strategy_options``).
+        ``strategy`` names the Phase-II strategy to run (``"coloring"``
+        by default; ``"capacity"`` takes a ``max_per_key`` option in
+        ``strategy_options``).
         """
         config = self.config
         run_strategy = phase2_strategy(strategy)
@@ -158,8 +158,8 @@ class CExtensionSolver:
             phase1.catalog,
             fk_column,
             ccs=ccs,
-            config=config,
             options=strategy_options,
+            partitioned=config.partitioned_coloring,
         )
         report.phase2_seconds = time.perf_counter() - started
         logger.info(

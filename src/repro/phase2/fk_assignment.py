@@ -152,9 +152,8 @@ class Phase2Result:
     r2_hat: Relation
     coloring: Dict[int, object]
     stats: Phase2Stats
-    #: Per-key capacity overflow (``key -> rows beyond the cap``) reported
-    #: by soft-capacity strategies; empty when capacities were hard or
-    #: absent.
+    #: Per-key capacity overflow (``key -> rows beyond the cap``) a soft
+    #: cap accepted; empty when caps were hard or absent.
     overflow: Dict[object, int] = field(default_factory=dict)
 
 
@@ -173,7 +172,8 @@ def run_phase2(
 
     ``cap_of(combo)`` gives a combo partition's per-key cap (``None`` =
     uncapped).  When it is set, invalid tuples take the fresh-key escape
-    hatch (one fresh key each, on a CC-safe combo) so no cap is breached.
+    hatch (one fresh key each, on a CC-safe combo) so no cap is breached,
+    and the overflow a soft cap accepted is recorded per key.
 
     ``partitioned=False`` builds a single global conflict graph with
     per-vertex candidate lists (the ablation of the Section 5.2
@@ -188,6 +188,7 @@ def run_phase2(
     pool = MintPool(FreshKeyFactory(list(r2.column(key_column)), key_dtype))
     new_r2_rows: List[tuple] = []
     coloring: Dict[int, object] = {}
+    overflow: Dict[object, int] = {}
 
     keys_by_combo: Dict[tuple, List[object]] = {
         combo: list(keys) for combo, keys in catalog.keys_by_combo.items()
@@ -278,6 +279,13 @@ def run_phase2(
             pool.release([key for key in fresh if key not in taker])
         stats.coloring_seconds += time.perf_counter() - started
         coloring.update(part)
+        if cap is not None:
+            # A key serves one partition only (candidates are disjoint
+            # across combos, fresh keys go to one pass), so its usage
+            # here is its final count.
+            for key, count in usage.items():
+                if count > cap.max_per_key:
+                    overflow[key] = count - cap.max_per_key
 
     # ------------------------------------------------------------------
     # Invalid tuples.
@@ -321,6 +329,11 @@ def run_phase2(
     fk_values = [coloring[row] for row in range(assignment.n)]
     r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
     r2_hat = r2.append_rows(new_r2_rows)
+    stats.total_overflow = sum(overflow.values())
     return Phase2Result(
-        r1_hat=r1_hat, r2_hat=r2_hat, coloring=coloring, stats=stats
+        r1_hat=r1_hat,
+        r2_hat=r2_hat,
+        coloring=coloring,
+        stats=stats,
+        overflow=overflow,
     )

@@ -765,6 +765,10 @@ class Relation:
         must not match key ``7``).
         """
         lookups = np.asarray(values)
+        if lookups.dtype.kind in "US":
+            # numpy turns a list mixing str and int into all strings;
+            # keep each lookup value's own type.
+            lookups = np.asarray(values, dtype=object)
         sorter, sorted_keys = self._key_sorter()
         if len(lookups) == 0:
             return np.empty(0, dtype=np.int64)

@@ -3,9 +3,9 @@
 One entrypoint executes any workload a :class:`SynthesisSpec` can
 describe — the paper's two-table C-Extension, the Section 5 snowflake
 traversal, and capacity-capped edges — by planning the FK-edge order and
-dispatching each edge through the solver's pluggable Phase-II stage
-registry.  The result carries the completed database, per-edge reports
-and a JSON-serialisable summary, whatever pipeline ran underneath.
+solving each edge with its Phase-II strategy.  The result carries the
+completed database, per-edge reports and a JSON-serialisable summary,
+whatever pipeline ran underneath.
 """
 
 from __future__ import annotations

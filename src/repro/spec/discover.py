@@ -53,8 +53,8 @@ def discover_spec(
     per-key usage observed in the data when ``capacity`` is the string
     ``"observed"``.
     """
-    # Imported here so ``import repro`` keeps the extension modules (and
-    # the strategy registry's lazy built-ins) unloaded until needed.
+    # Imported here so ``import repro`` keeps the extension modules
+    # unloaded until needed.
     from repro.extensions.capacity import fk_usage_histogram
     from repro.extensions.discovery import discover_fk_dcs
 

@@ -22,7 +22,8 @@ from repro.constraints.dc import DenialConstraint
 from repro.constraints.parser import parse_cc, parse_dc
 from repro.constraints.textio import format_cc, format_dc
 from repro.core.config import SolverConfig
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
+from repro.phase2.strategies import key_caps, resolve_strategy
 from repro.relational.csvio import (
     infer_csv_schema,
     read_csv_infer,
@@ -245,9 +246,10 @@ class EdgeSpec:
 
     Carries the edge's constraint sets (as objects; strings are parsed on
     construction) plus the Phase-II strategy knobs — ``capacity`` caps
-    per-key usage via the ``"capacity"`` strategy, ``strategy`` names any
-    registered stage explicitly, ``options`` holds the strategy-specific
-    knobs (e.g. ``soft_capacity``'s ``penalty``), and ``solver`` carries
+    per-key usage via the ``"capacity"`` strategy, ``strategy`` names a
+    strategy explicitly, ``options`` holds the strategy-specific knobs
+    (e.g. ``soft_capacity``'s ``penalty``; see
+    :mod:`repro.phase2.strategies`), and ``solver`` carries
     per-edge solver overrides (``time_limit``, ``mip_gap``, ``marginals``,
     …) that shadow the spec's global solver block for this edge only.
     ``serialize = true`` keeps this edge out of parallel batches when the
@@ -268,8 +270,18 @@ class EdgeSpec:
     def __post_init__(self) -> None:
         self.ccs = _parse_constraints(self.ccs, parse_cc, "CC")
         self.dcs = _parse_constraints(self.dcs, parse_dc, "DC")
-        self.options = dict(self.options or {})
-        self.solver = dict(self.solver or {})
+        self.options = self._table("options", self.options)
+        self.solver = self._table("solver", self.solver)
+
+    def _table(self, name: str, value: object) -> Dict[str, object]:
+        if value is None:
+            return {}
+        if not isinstance(value, Mapping):
+            raise SchemaError(
+                f"edge {self.edge_key}: {name!r} must be a table, "
+                f"got {value!r}"
+            )
+        return dict(value)
 
     @property
     def edge_key(self) -> Tuple[str, str, str]:
@@ -427,41 +439,20 @@ class SynthesisSpec:
                     f"duplicate FK edge on {edge.child}.{edge.column}"
                 )
             seen_edges.add((edge.child, edge.column))
-            if edge.capacity is not None and edge.capacity < 1:
-                raise SchemaError(
-                    f"edge {edge.edge_key}: capacity must be >= 1"
+            # Strategy settings fail here, at spec load time, not deep in
+            # Phase II after the upstream edges were solved.
+            try:
+                key_caps(
+                    *resolve_strategy(
+                        edge.strategy, edge.capacity, edge.options
+                    )
                 )
-            self._validate_edge_strategy(edge)
+            except ReproError as exc:
+                raise SchemaError(f"edge {edge.edge_key}: {exc}") from None
             self._validate_edge_solver(edge)
         if self.fact_table is not None and self.fact_table not in known:
             raise SchemaError(
                 f"fact table {self.fact_table!r} is not a declared relation"
-            )
-
-    @staticmethod
-    def _validate_edge_strategy(edge: "EdgeSpec") -> None:
-        """Unknown strategies fail here, at spec load time, not deep in
-        Phase II — with the available names in the error."""
-        from repro.core.stages import phase2_strategies
-
-        available = phase2_strategies()
-        if edge.strategy is not None and edge.strategy not in available:
-            raise SchemaError(
-                f"edge {edge.edge_key}: unknown Phase-II strategy "
-                f"{edge.strategy!r} (available: {', '.join(available)})"
-            )
-        if edge.options and edge.strategy is None and edge.capacity is None:
-            raise SchemaError(
-                f"edge {edge.edge_key}: strategy options given but no "
-                "strategy (or capacity) is set"
-            )
-        if edge.capacity is not None and edge.strategy not in (
-            None, "capacity", "soft_capacity",
-        ):
-            raise SchemaError(
-                f"edge {edge.edge_key}: capacity only combines with the "
-                f"'capacity'/'soft_capacity' strategies, not "
-                f"{edge.strategy!r}; use a strategy option instead"
             )
 
     @staticmethod

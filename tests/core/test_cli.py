@@ -136,6 +136,39 @@ class TestPipelineCommands:
         assert "relation 'r1'" in err
         assert "Traceback" not in err
 
+    def test_bad_strategy_option_reports_error_not_traceback(
+        self, tmp_path, capsys
+    ):
+        # A non-numeric soft_capacity penalty used to escape as a raw
+        # ValueError (exit 1) once the edge was being solved.
+        spec = tmp_path / "bad.toml"
+        spec.write_text(
+            'name = "bad"\n'
+            "[[relations]]\n"
+            'name = "r1"\n'
+            'key = "pid"\n'
+            "columns = { pid = [1, 2], Age = [3, 4] }\n"
+            "[[relations]]\n"
+            'name = "r2"\n'
+            'key = "hid"\n'
+            'columns = { hid = [1], Area = ["X"] }\n'
+            "[[edges]]\n"
+            'child = "r1"\n'
+            'column = "hid"\n'
+            'parent = "r2"\n'
+            "capacity = 2\n"
+            'strategy = "soft_capacity"\n'
+            "[edges.options]\n"
+            'penalty = "high"\n'
+        )
+        code = main(["solve", "--spec", str(spec),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'penalty' must be a number" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvInference:
     def test_read_csv_infer(self, tmp_path):

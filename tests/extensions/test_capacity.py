@@ -6,10 +6,7 @@ from repro.constraints import parse_cc, parse_dc
 from repro.core.metrics import dc_error
 from repro.core.synthesizer import CExtensionSolver
 from repro.errors import ReproError
-from repro.extensions.capacity import (
-    fk_usage_histogram,
-    solve_with_capacity,
-)
+from repro.extensions.capacity import fk_usage_histogram
 from repro.phase2.coloring import KeyCap, coloring_lf
 from repro.relational.relation import Relation
 
@@ -61,7 +58,16 @@ class TestCapacityColoring:
         assert skipped == [2]  # "a" already full from the first call
 
 
+def _solve_capped(r1, r2, max_per_key, ccs=(), dcs=()):
+    return CExtensionSolver().solve(
+        r1, r2, fk_column="hid", ccs=ccs, dcs=dcs, strategy="capacity",
+        strategy_options={"max_per_key": max_per_key},
+    )
+
+
 class TestSolveWithCapacity:
+    """The ``"capacity"`` strategy through :class:`CExtensionSolver`."""
+
     @pytest.fixture
     def instance(self):
         r1 = Relation.from_columns(
@@ -79,42 +85,35 @@ class TestSolveWithCapacity:
 
     def test_capacity_respected(self, instance):
         r1, r2 = instance
-        result = solve_with_capacity(
-            r1, r2, fk_column="hid", max_per_key=3
-        )
-        usage = result.usage()
+        result = _solve_capped(r1, r2, 3)
+        usage = fk_usage_histogram(result.r1_hat, "hid")
         assert all(v <= 3 for v in usage.values())
         assert sum(usage.values()) == len(r1)
 
     def test_fresh_tuples_absorb_overflow(self, instance):
         r1, r2 = instance
-        result = solve_with_capacity(
-            r1, r2, fk_column="hid", max_per_key=2
-        )
+        result = _solve_capped(r1, r2, 2)
         # 10 rows, cap 2 → at least 5 keys; R2 had 2.
         assert len(result.r2_hat) >= 5
-        assert result.num_new_r2_tuples >= 3
+        assert result.phase2.stats.num_new_r2_tuples >= 3
 
     def test_dcs_and_capacity_together(self, instance):
         r1, r2 = instance
         dcs = [parse_dc("not(t1.Age < 33 & t2.Age < 33)")]
-        result = solve_with_capacity(
-            r1, r2, fk_column="hid", max_per_key=4, dcs=dcs
-        )
+        result = _solve_capped(r1, r2, 4, dcs=dcs)
         assert dc_error(result.r1_hat, "hid", dcs) == 0.0
-        assert all(v <= 4 for v in result.usage().values())
+        usage = fk_usage_histogram(result.r1_hat, "hid")
+        assert all(v <= 4 for v in usage.values())
 
     def test_ccs_still_pursued(self, instance):
         r1, r2 = instance
         ccs = [parse_cc("|Age in [30, 34] & Area == 'X'| = 5")]
-        result = solve_with_capacity(
-            r1, r2, fk_column="hid", max_per_key=3, ccs=ccs
-        )
-        assert result.errors.per_cc == [0.0]
+        result = _solve_capped(r1, r2, 3, ccs=ccs)
+        assert result.report.errors.per_cc == [0.0]
 
     def test_histogram_helper(self, instance):
         r1, r2 = instance
-        result = solve_with_capacity(r1, r2, fk_column="hid", max_per_key=3)
+        result = _solve_capped(r1, r2, 3)
         histogram = fk_usage_histogram(result.r1_hat, "hid")
         assert sum(histogram.values()) == len(r1)
 

@@ -9,7 +9,8 @@ from repro.datagen.census import CensusConfig, generate_census
 from repro.datagen.constraints_census import cc_family, good_dcs
 from repro.errors import ReproError
 from repro.extensions.capacity import fk_usage_histogram
-from repro.extensions.quota_coloring import resolve_quota
+from repro.phase2.coloring import KeyCap
+from repro.phase2.strategies import combo_cap
 from repro.spec import SpecBuilder, synthesize
 
 _SLOW = settings(
@@ -106,11 +107,13 @@ class TestQuotas:
                 assert count <= 1, f"key {key} breached its quota"
 
     def test_first_matching_entry_wins(self):
-        quotas = [({"Tenure": "a"}, 1), ({}, 7)]
-        assert resolve_quota({"Tenure": "a"}, quotas, None) == 1
-        assert resolve_quota({"Tenure": "b"}, quotas, None) == 7
-        assert resolve_quota({"Tenure": "b"}, [({"Tenure": "a"}, 1)], 4) == 4
-        assert resolve_quota({"Tenure": "b"}, [], None) is None
+        one, four, seven = KeyCap(1), KeyCap(4), KeyCap(7)
+        quotas = [({"Tenure": "a"}, one), ({}, seven)]
+        assert combo_cap({"Tenure": "a"}, quotas, None) is one
+        assert combo_cap({"Tenure": "b"}, quotas, None) is seven
+        only_a = [({"Tenure": "a"}, one)]
+        assert combo_cap({"Tenure": "b"}, only_a, four) is four
+        assert combo_cap({"Tenure": "b"}, [], None) is None
 
     def test_spec_front_door_round_trip(self, census):
         data, _, dcs = census

@@ -124,6 +124,18 @@ def test_key_positions_does_not_coerce_lookup_values():
     assert relation.key_positions([7.0]).tolist() == [1]
 
 
+def test_key_positions_keeps_types_of_a_mixed_lookup_list():
+    """numpy turns ``['x', 7]`` into all strings; the int must still not
+    match the STR key ``'7'``, and the value named must be the miss."""
+    str_keyed = Relation.from_columns({"k": ["7", "x"], "v": [0, 1]}, key="k")
+    assert str_keyed.key_positions(["x", "7"]).tolist() == [1, 0]
+    with pytest.raises(KeyLookupError, match="key value 7 not found"):
+        str_keyed.key_positions(["x", 7])
+    int_keyed = Relation.from_columns({"k": [1, 2], "v": [0, 1]}, key="k")
+    with pytest.raises(KeyLookupError, match="key value '7' not found"):
+        int_keyed.key_positions([1, "7"])
+
+
 def test_mixed_type_str_column_is_rejected():
     """A STR column holds str only, and a lookup value of another type
     than the keys is reported as not found."""

@@ -115,6 +115,12 @@ class TestEdgeSpec:
         )
         assert len(edge.ccs) == 1 and edge.ccs[0].target == 1
 
+    @pytest.mark.parametrize("value", [3, "x"])
+    @pytest.mark.parametrize("name", ["options", "solver"])
+    def test_non_table_knobs_rejected(self, name, value):
+        with pytest.raises(SchemaError, match=f"'{name}' must be a table"):
+            EdgeSpec("r1", "hid", "r2", **{name: value})
+
     def test_constraints_file_without_section_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("[other.fk -> r2]\ncc: |Age <= 9 & Area == 'Y'| = 2\n")
@@ -205,8 +211,53 @@ class TestEdgeStrategyValidation:
     def test_builtin_strategies_accepted(self):
         for name in ("coloring", "capacity", "soft_capacity",
                      "quota_coloring"):
-            spec = _two_table_spec(strategy=name)
+            capacity = 2 if name in ("capacity", "soft_capacity") else None
+            spec = _two_table_spec(strategy=name, capacity=capacity)
             assert spec.edges[0].strategy == name
+
+    @pytest.mark.parametrize(
+        "edge_kwargs, fragment",
+        [
+            ({"capacity": "3"}, "max_per_key"),
+            ({"capacity": True}, "max_per_key"),
+            ({"capacity": 2.5}, "max_per_key"),
+            ({"strategy": "capacity"}, "max_per_key"),
+            ({"strategy": "soft_capacity"}, "max_per_key"),
+            (
+                {"capacity": 2, "strategy": "soft_capacity",
+                 "options": {"penalty": "high"}},
+                "penalty",
+            ),
+            (
+                {"capacity": 2, "strategy": "soft_capacity",
+                 "options": {"new_tuple_cost": None}},
+                "new_tuple_cost",
+            ),
+            ({"capacity": 2, "options": {"penalty": 2.0}}, "unknown"),
+            (
+                {"strategy": "quota_coloring",
+                 "options": {"quotas": [{"match": {}, "quota": 0}]}},
+                "quota",
+            ),
+            ({"strategy": "coloring", "options": {"penalty": 1.0}}, "unknown"),
+        ],
+        ids=[
+            "capacity-str", "capacity-bool", "capacity-float",
+            "capacity-no-cap", "soft-no-cap", "penalty-str",
+            "new-tuple-cost-null", "penalty-on-capacity", "quota-zero",
+            "options-on-coloring",
+        ],
+    )
+    def test_bad_strategy_settings_rejected_at_build(
+        self, edge_kwargs, fragment
+    ):
+        """Each of these used to crash with a raw TypeError, or pass
+        validation and fail only when the edge was solved."""
+        with pytest.raises(SchemaError) as excinfo:
+            _two_table_spec(**edge_kwargs)
+        message = str(excinfo.value)
+        assert message.startswith("edge ('r1', 'hid', 'r2'): ")
+        assert fragment in message
 
     def test_options_without_strategy_rejected(self):
         with pytest.raises(SchemaError, match="options"):
