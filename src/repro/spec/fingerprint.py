@@ -34,6 +34,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.config import SolverConfig
+from repro.phase2.strategies import resolve_strategy
 from repro.relational.database import Database
 from repro.spec.model import EdgeSpec, SynthesisSpec
 
@@ -74,7 +75,9 @@ NON_RESULT_OPTION_FIELDS = (
 #: Bump when the fingerprint's byte layout changes — persisted cache
 #: entries keyed by an older scheme must miss, not collide.  Version 3:
 #: :meth:`Relation.content_hash` hashes string columns as two streams.
-_FINGERPRINT_VERSION = 3
+#: Version 4: an edge's Phase-II settings enter as the resolved
+#: ``(strategy, options)`` pair, not as written.
+_FINGERPRINT_VERSION = 4
 
 
 def _canonical(value: object) -> object:
@@ -108,11 +111,18 @@ def _edge_config(edge: EdgeSpec, options: SolverConfig) -> Dict[str, object]:
     Per-edge solver overrides are folded into the global options first
     (mirroring ``EdgeConstraints.effective_config``) and then filtered to
     the result-affecting fields, so ``solver = {workers = 4}`` on an edge
-    fingerprints identically to no override at all.
+    fingerprints identically to no override at all.  The Phase-II
+    settings enter as the ``(strategy, options)`` the solve runs with
+    (:func:`~repro.phase2.strategies.resolve_strategy`), so
+    ``capacity = 2`` and ``strategy = "capacity"`` with
+    ``options = {max_per_key = 2}`` fingerprint alike.
     """
     data = edge.to_dict()
-    data.pop("serialize", None)
-    data.pop("solver", None)
+    for name in ("serialize", "solver", "capacity", "strategy", "options"):
+        data.pop(name, None)
+    data["strategy"], data["options"] = resolve_strategy(
+        edge.strategy, edge.capacity, edge.options
+    )
     effective = (
         replace(options, **dict(edge.solver)) if edge.solver else options
     )

@@ -5,7 +5,8 @@
 Python.  ``test_csv_equivalence.py`` holds the one-pass reader in
 :mod:`repro.relational.csvio` to the same schema, the same relation
 and the same error text, on every input this version read without
-crashing.
+crashing.  Files are opened as UTF-8, as the current readers open them,
+so the oracle does not depend on the locale either.
 """
 
 from __future__ import annotations
@@ -71,9 +72,13 @@ def _int_column(
 
 
 def _open_reader(path: Path) -> Tuple[object, Iterator[List[str]], List[str]]:
-    handle = path.open(newline="")
+    handle = path.open(encoding="utf-8", newline="")
     reader = csv.reader(handle)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except UnicodeDecodeError:
+        handle.close()
+        raise
     if header is None:
         handle.close()
         raise SchemaError(f"{path} is empty")

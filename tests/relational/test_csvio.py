@@ -106,7 +106,7 @@ INVALID_INT_LITERALS = ["1_000", " 3", "3 ", "+7", "00", "-0", "٣", "1e3"]
 def test_non_canonical_int_literal_rejected(tmp_path, literal):
     """Strict parsing: only canonical base-10 ASCII integers pass."""
     path = tmp_path / "strict.csv"
-    path.write_text(f"pid,Age\n1,30\n2,{literal}\n")
+    path.write_text(f"pid,Age\n1,30\n2,{literal}\n", encoding="utf-8")
     schema = Schema(
         [ColumnSpec("pid", Dtype.INT), ColumnSpec("Age", Dtype.INT)],
         key="pid",
@@ -118,7 +118,7 @@ def test_non_canonical_int_literal_rejected(tmp_path, literal):
 @pytest.mark.parametrize("literal", INVALID_INT_LITERALS)
 def test_inference_demotes_non_canonical_ints_to_str(tmp_path, literal):
     path = tmp_path / "strict.csv"
-    path.write_text(f"pid,Age\n1,30\n2,{literal}\n")
+    path.write_text(f"pid,Age\n1,30\n2,{literal}\n", encoding="utf-8")
     schema = infer_csv_schema(path, key="pid")
     assert schema.dtype("Age") is Dtype.STR
     assert schema.dtype("pid") is Dtype.INT
@@ -193,3 +193,127 @@ def test_bad_int_after_multiline_field_cites_physical_line(tmp_path):
     for block_rows in (1, 2, BLOCK_ROWS):
         with pytest.raises(SchemaError, match=r"multi\.csv:4: .*'\+2'"):
             read_csv(path, schema, block_rows=block_rows)
+
+
+READERS = [read_csv, read_csv_store, read_csv_infer, infer_csv_schema]
+
+
+def _read(reader, path, schema, **kwargs):
+    """Call any of the four readers; the typed ones get ``schema``."""
+    if reader in (read_csv, read_csv_store):
+        return reader(path, schema, **kwargs)
+    return reader(path, **kwargs)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_block_rows_below_one_rejected(tmp_path, relation, reader):
+    """A block of 0 rows read nothing and typed every column STR."""
+    path = tmp_path / "persons.csv"
+    write_csv(relation, path)
+    for block_rows in (0, -1):
+        with pytest.raises(SchemaError, match="block_rows must be >= 1"):
+            _read(reader, path, relation.schema, block_rows=block_rows)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_non_utf8_byte_cites_its_physical_line(tmp_path, reader):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'name,n\r\n"x\r\ny",1\r\nab,2\r\ncaf\xe9,3\r\n')
+    schema = Schema([ColumnSpec("name", Dtype.STR), ColumnSpec("n", Dtype.INT)])
+    for block_rows in (1, 2, BLOCK_ROWS):
+        with pytest.raises(
+            SchemaError, match=r"latin1\.csv:5: invalid UTF-8 byte 0xe9"
+        ):
+            _read(reader, path, schema, block_rows=block_rows)
+
+
+def test_non_utf8_header_cites_line_one(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_bytes(b"a,\xff\n1,2\n")
+    with pytest.raises(SchemaError, match=r"header\.csv:1: .* 0xff"):
+        read_csv_infer(path)
+
+
+def test_cli_reports_non_utf8_csv(tmp_path, capsys):
+    """An undecodable CSV is an input error (exit 2), not a crash."""
+    from repro.cli import main
+
+    (tmp_path / "Orders.csv").write_text("oid\n1\n2\n")
+    (tmp_path / "Shops.csv").write_bytes(b"sid,name\n1,\xff\n")
+    spec = tmp_path / "spec.toml"
+    spec.write_text(
+        'name = "shops"\nfact_table = "Orders"\n\n'
+        '[[relations]]\nname = "Orders"\nkey = "oid"\ncsv = "Orders.csv"\n\n'
+        '[[relations]]\nname = "Shops"\nkey = "sid"\ncsv = "Shops.csv"\n\n'
+        '[[edges]]\nchild = "Orders"\ncolumn = "sid"\nparent = "Shops"\n'
+    )
+    code = main(["solve", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Shops.csv:2: invalid UTF-8 byte 0xff" in err
+
+
+def test_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale without UTF-8 mode the default encoding is
+    ASCII; reading and writing must not depend on it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    source = tmp_path / "cafe.csv"
+    source.write_bytes("pid,name\n1,café\n".encode("utf-8"))
+    script = (
+        "import sys\n"
+        "from repro.relational.csvio import read_csv_infer, write_csv\n"
+        "relation = read_csv_infer(sys.argv[1])\n"
+        "write_csv(relation, sys.argv[2])\n"
+        "print(ascii(relation.column('name').tolist()))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+        "PYTHONUTF8": "0",
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    target = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(source), str(target)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ascii(["café"])
+    assert target.read_bytes() == "pid,name\r\n1,café\r\n".encode("utf-8")
+
+
+def test_cells_of_every_width_round_trip(tmp_path):
+    """String cells from empty to one far wider than the rest, several
+    widths in one block, decode to their text."""
+    widths = [0, 1, 7, 8, 9, 16, 17, 33, 255, 256, 257, 1_000, 100_000]
+    names = ["é" * (n // 2) + "x" * (n % 2) for n in widths] * 2
+    relation = Relation.from_columns(
+        {"id": list(range(len(names))), "name": names}, key="id"
+    )
+    path = tmp_path / "wide.csv"
+    write_csv(relation, path)
+    for block_rows in (1, 5, BLOCK_ROWS):
+        loaded = read_csv_infer(path, key="id", block_rows=block_rows)
+        assert loaded.column("name").tolist() == names
+
+
+def test_cell_over_the_field_limit_fails_as_csv_does(tmp_path):
+    import csv
+
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n1," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        read_csv_infer(path)

@@ -18,6 +18,7 @@ from repro.spec import (
     load_spec,
     result_options,
     save_spec,
+    synthesize,
 )
 from repro.core.config import SolverConfig
 
@@ -70,6 +71,22 @@ def build_spec(
     if options:
         builder.options(**options)
     return builder.build()
+
+
+def capped_spec(**phase2):
+    """Two relations, one edge with the given Phase-II settings."""
+    return (
+        SpecBuilder("capped")
+        .relation(
+            "Students",
+            columns={"sid": [1, 2, 3, 4], "age": [18, 19, 20, 21]},
+            key="sid",
+        )
+        .relation("Majors", columns={"mid": [1, 2], "size": [3, 3]}, key="mid")
+        .edge("Students", "major_id", "Majors", **phase2)
+        .fact_table("Students")
+        .build()
+    )
 
 
 class TestSourceIndependence:
@@ -220,3 +237,30 @@ class TestResultOptions:
             .fact_table("A")
         )
         assert edge_fingerprints(builder.build()) == {}
+
+
+class TestStrategySpelling:
+    """An edge fingerprints by the ``(strategy, options)`` it solves
+    with, so a respelled but equivalent edge hits the edge cache."""
+
+    def test_capacity_spellings_agree(self):
+        short = capped_spec(capacity=2)
+        explicit = capped_spec(strategy="capacity", options={"max_per_key": 2})
+        assert edge_fingerprints(short) == edge_fingerprints(explicit)
+        first, second = (
+            synthesize(spec).database.relation("Students").to_rows()
+            for spec in (short, explicit)
+        )
+        assert first == second
+
+    def test_other_cap_differs(self):
+        short = edge_fingerprints(capped_spec(capacity=2))
+        three = edge_fingerprints(
+            capped_spec(strategy="capacity", options={"max_per_key": 3})
+        )
+        assert three != short
+
+    def test_default_strategy_spelled_out_agrees(self):
+        assert edge_fingerprints(capped_spec()) == edge_fingerprints(
+            capped_spec(strategy="coloring")
+        )
