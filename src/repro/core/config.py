@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["SolverConfig"]
+
+_FLAG = (bool, np.bool_)
+_NONE = type(None)
+
+#: The types each field must hold, and how an error names them.  numpy
+#: scalars pass (knobs computed with numpy arrive as them), but a flag
+#: is no number here, though Python makes ``bool`` an ``int``.
+_FIELD_TYPES = {
+    "soft_ccs": (_FLAG, "a bool"),
+    "force_ilp": (_FLAG, "a bool"),
+    "partitioned_coloring": (_FLAG, "a bool"),
+    "workers": ((numbers.Integral,), "an int"),
+    "evaluate": (_FLAG, "a bool"),
+    "time_limit": ((numbers.Real, _NONE), "a number or None"),
+    "mip_gap": ((numbers.Real, _NONE), "a number or None"),
+    "chunk_rows": ((numbers.Integral,), "an int"),
+    "storage_dir": ((str, _NONE), "a string or None"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +73,12 @@ class SolverConfig:
     storage_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name, (types, wanted) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (
+                isinstance(value, _FLAG) and types is not _FLAG
+            ):
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
         if self.storage not in ("numpy", "mmap"):
             raise ValueError(f"unknown storage backend {self.storage!r}")
         if self.chunk_rows < 1:

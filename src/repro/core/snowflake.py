@@ -37,11 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
 from repro.core.config import SolverConfig
-from repro.core.parallel_snowflake import (
-    edge_payload,
-    solve_edge,
-    solve_edge_payload,
-)
+from repro.core.parallel_snowflake import solve_edge, solve_edge_args
 from repro.core.synthesizer import CExtensionResult
 from repro.errors import SchemaError
 from repro.phase2.strategies import resolve_strategy
@@ -335,12 +331,12 @@ class SnowflakeSynthesizer:
                     # the batch mates ahead of it.
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
-                    payloads = []
+                    inputs = []
                     for fk in misses:
                         hooks.started(fk)
-                        payloads.append(edge_payload(*edge_inputs(fk)))
+                        inputs.append(edge_inputs(fk))
                     for fk, step in zip(
-                        misses, pool.map(solve_edge_payload, payloads)
+                        misses, pool.map(solve_edge_args, inputs)
                     ):
                         commit(fk, step)
         finally:

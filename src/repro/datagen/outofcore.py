@@ -117,11 +117,7 @@ def generate_events(
     writer = None
     parts: Dict[str, List[np.ndarray]] = {"eid": [], "Segment": [], "Load": []}
     if storage == "mmap":
-        writer = MmapStoreWriter(
-            directory,
-            [("eid", "int"), ("Segment", "dict"), ("Load", "int")],
-            chunk_rows=chunk_rows,
-        )
+        writer = MmapStoreWriter(directory, schema, chunk_rows=chunk_rows)
     try:
         for index, start in enumerate(
             range(0, config.rows, GEN_BLOCK_ROWS)

@@ -40,10 +40,6 @@ class InfeasibleError(SolverError):
     """The optimization problem has no feasible solution."""
 
 
-class UnboundedError(SolverError):
-    """The optimization problem is unbounded."""
-
-
 class CompletionError(ReproError):
     """Phase I could not complete the join view."""
 

@@ -5,9 +5,9 @@ The parallel snowflake scheduler fans work out on a
 pickling — and pickle serializes functions *by qualified name*: a lambda
 or a function defined inside another function either fails to pickle
 outright or, worse, drags closed-over live state (stores, solvers, open
-handles) into the child.  The repo's discipline (``solve_edge_payload``)
-is module-level functions over explicitly-built payload tuples; this
-checker pins it.
+handles) into the child.  The repo's discipline (``solve_edge_args``)
+is module-level functions over explicit argument tuples of picklable
+values; this checker pins it.
 
 * **P401** — a ``lambda`` submitted to a process pool.
 * **P402** — a locally-defined (nested) function submitted to a process

@@ -12,9 +12,11 @@ final loop of Algorithm 2).  :class:`ViewAssignment` tracks, per row:
 
 Storage is columnar: an ``(n × q)`` ``int32`` code matrix (sentinel ``-1``
 for "unassigned") backed by one value dictionary per R2 attribute, so the
-index/mask queries (``untouched_indices``, ``complete_indices``, the
-Phase-II partition grouping) are O(1)-per-query numpy ops instead of O(n)
-Python sweeps.  :class:`NaiveViewAssignment` keeps the original per-row
+index/mask queries (``untouched_indices``, ``complete_indices``) are
+O(1)-per-query numpy ops instead of O(n) Python sweeps, and the Phase-II
+partition grouping hands the matrix rows to the relations' group-by
+kernel (:func:`~repro.relational.relation.group_codes`).
+:class:`NaiveViewAssignment` keeps the original per-row
 ``List[Optional[Dict]]`` implementation as the equivalence reference for
 tests and the ``BENCH_phase1.json`` microbenchmark.
 """
@@ -27,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import CompletionError
+from repro.relational.relation import group_codes
 
 __all__ = ["ViewAssignment", "NaiveViewAssignment"]
 
@@ -253,66 +256,40 @@ class ViewAssignment:
     ) -> Dict[tuple, List[int]]:
         """Complete, valid rows grouped by their full B-combo.
 
-        The Phase-II partitioning (Section 5.2) in one lexsort-and-split
-        over the code matrix; row lists are ascending, matching the order
-        the per-row ``setdefault`` loop used to produce.
+        The Phase-II partitioning (Section 5.2): the code matrix rows of
+        the complete, valid rows go through
+        :func:`~repro.relational.relation.group_codes`, so combos come in
+        ascending code-tuple order and row lists ascend, matching the
+        order the per-row ``setdefault`` loop used to produce.
 
-        ``chunk_rows`` bounds the working set: the code matrix is sorted
-        and split one block at a time, and per-combo row runs are merged
-        in ascending code-tuple order — the groups (content, row order
-        and combo order) are identical to the single-sort path, which a
-        stable lexsort also emits by ascending code tuple.
+        ``chunk_rows`` bounds the working set: the rows are sorted and
+        split ``chunk_rows`` at a time (one block when ``None``) and the
+        kernel merges the blocks' runs — the groups (content, row order
+        and combo order) are the same at every block size.
         """
         rows = np.flatnonzero(self.assigned_mask())
         if rows.size == 0:
             return {}
-        q = len(self.r2_attrs)
-        if q == 0:
+        if not self.r2_attrs:
             return {(): rows.tolist()}
-        if chunk_rows is not None and chunk_rows < rows.size:
-            return self._group_by_combo_chunked(rows, chunk_rows)
-        sub = self._codes[rows]
-        # lexsort treats its *last* key as primary; reverse so attr 0 leads.
-        order = np.lexsort(sub.T[::-1])
-        ordered = sub[order]
-        change = (ordered[1:] != ordered[:-1]).any(axis=1)
-        starts = np.flatnonzero(np.concatenate(([True], change)))
-        grouped_rows = rows[order]
-        out: Dict[tuple, List[int]] = {}
-        bounds = np.append(starts, len(rows))
-        for g, start in enumerate(starts):
-            codes = ordered[start]
-            combo = tuple(
-                self._code_values[j][codes[j]] for j in range(q)
-            )
-            out[combo] = grouped_rows[start:bounds[g + 1]].tolist()
-        return out
-
-    def _group_by_combo_chunked(
-        self, rows: np.ndarray, chunk_rows: int
-    ) -> Dict[tuple, List[int]]:
-        """Chunk-merge variant of :meth:`group_by_combo`."""
-        q = len(self.r2_attrs)
-        groups: Dict[tuple, List[np.ndarray]] = {}
-        for start in range(0, rows.size, chunk_rows):
-            block = rows[start:start + chunk_rows]
-            sub = self._codes[block]
-            order = np.lexsort(sub.T[::-1])
-            ordered = sub[order]
-            change = (ordered[1:] != ordered[:-1]).any(axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], change)))
-            grouped_rows = block[order]
-            bounds = np.append(starts, len(block))
-            for g, s in enumerate(starts):
-                sig = tuple(int(c) for c in ordered[s])
-                groups.setdefault(sig, []).append(
-                    grouped_rows[s:bounds[g + 1]]
+        step = rows.size if chunk_rows is None else chunk_rows
+        signatures, order, starts = group_codes(
+            (block, self._codes[block].T)
+            for block in np.split(rows, range(step, rows.size, step))
+        )
+        combos = zip(
+            *(
+                [values[code] for code in codes]
+                for values, codes in zip(
+                    self._code_values, signatures.tolist()
                 )
-        out: Dict[tuple, List[int]] = {}
-        for sig in sorted(groups):
-            combo = tuple(self._code_values[j][sig[j]] for j in range(q))
-            out[combo] = np.concatenate(groups[sig]).tolist()
-        return out
+            )
+        )
+        bounds = [*starts.tolist(), len(order)]
+        return {
+            combo: order[start:stop].tolist()
+            for combo, start, stop in zip(combos, bounds, bounds[1:])
+        }
 
 
 @dataclass

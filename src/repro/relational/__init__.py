@@ -27,7 +27,6 @@ from repro.relational.store import (
     MmapColumnStore,
     MmapStoreWriter,
     NumpyColumnStore,
-    StorageOptions,
 )
 from repro.relational.types import (
     CatDomain,
@@ -56,7 +55,6 @@ __all__ = [
     "Predicate",
     "Relation",
     "Schema",
-    "StorageOptions",
     "TRUE_PREDICATE",
     "ValueSet",
     "condition_from_atom",

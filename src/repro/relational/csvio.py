@@ -668,14 +668,7 @@ def read_csv_store(
     path = Path(path)
     with _CsvFile(path, block_rows) as source:
         _check_header(path, source.header, schema)
-        writer = MmapStoreWriter(
-            directory,
-            [
-                (spec.name, "int" if spec.dtype is Dtype.INT else "dict")
-                for spec in schema
-            ],
-            chunk_rows=chunk_rows,
-        )
+        writer = MmapStoreWriter(directory, schema, chunk_rows=chunk_rows)
         try:
             for first_record, block in source.blocks(_int_positions(schema)):
                 writer.append(

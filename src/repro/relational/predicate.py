@@ -97,10 +97,6 @@ class Interval(Condition):
             return None
         return Interval(lo, hi)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

@@ -11,9 +11,17 @@ contract.  The default :class:`~repro.relational.store.NumpyColumnStore`
 keeps every column in RAM exactly as before; a relation built on a chunked
 (disk-backed) store streams its masks, factorizations and group-by kernels
 chunk-by-chunk so peak memory stays bounded by the chunk size, not the row
-count.  Column arrays are frozen (``writeable=False``) — "immutable by
+count.  An in-RAM store is one chunk, so each of these operations has one
+code path for both.  Every group-by — here and Phase II's
+``ViewAssignment.group_by_combo`` — goes through :func:`group_codes`.
+Column arrays are frozen (``writeable=False``) — "immutable by
 convention" is what keeps ``codes()``/key-sorter caches sound, and the
 flag enforces it.
+
+A relation pickles as its schema and its store
+(:meth:`Relation.__reduce__`), so process-pool workers receive and
+return relations with their declared types and without caches, and
+:meth:`Relation.to_store` is the one way a relation is written to disk.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from repro.relational.store import (
 )
 from repro.relational.types import Dtype, infer_dtype
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "group_codes"]
 
 
 def _storage_dtype(dtype: Dtype) -> object:
@@ -107,6 +115,55 @@ def _hash_str_column(chunks: Iterable[np.ndarray]) -> bytes:
             )
             data.update(b"".join(raw))
     return lengths.digest() + data.digest()
+
+
+def group_codes(
+    blocks: Iterable[Tuple[np.ndarray, Sequence[np.ndarray]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by their code tuples: ``(signatures, order, starts)``.
+
+    Each block is ``(rows, codes)``: ``m`` row ids and ``k >= 1`` code
+    arrays of length ``m`` (a ``k × m`` matrix); there is at least one
+    block, none empty, and row ids ascend across and within blocks.
+    ``signatures`` (``k × g``) lists the distinct code tuples in
+    ascending order, the first code array leading; ``order`` holds the
+    row ids grouped, ascending within each group; ``starts[g]`` is
+    where group ``g`` begins in ``order``.
+
+    Each block is lexsorted and split into runs of equal codes.  One
+    stable lexsort of the run signatures then merges the runs of every
+    block, so equal runs keep their block order and rows stay
+    ascending.  An in-RAM table is one block; the result equals one
+    global stable lexsort either way.
+    """
+    sig_parts, length_parts, row_parts = [], [], []
+    for rows, codes in blocks:
+        matrix = np.asarray(codes)
+        order = np.lexsort(matrix[::-1])
+        ordered = matrix[:, order]
+        change = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(np.concatenate(([True], change)))
+        sig_parts.append(ordered[:, starts])
+        length_parts.append(np.diff(starts, append=len(order)))
+        row_parts.append(rows[order])
+    if len(row_parts) == 1:  # one block has nothing to merge
+        return sig_parts[0], row_parts[0], starts
+    rows = np.concatenate(row_parts)
+    signatures = np.concatenate(sig_parts, axis=1)
+    lengths = np.concatenate(length_parts)
+    sources = np.cumsum(lengths) - lengths
+    runs = np.lexsort(signatures[::-1])
+    signatures, sources, lengths = (
+        signatures[:, runs],
+        sources[runs],
+        lengths[runs],
+    )
+    # Move every run from where its block put it to its merged place.
+    targets = np.cumsum(lengths) - lengths
+    order = rows[np.repeat(sources - targets, lengths) + np.arange(len(rows))]
+    change = (signatures[:, 1:] != signatures[:, :-1]).any(axis=0)
+    first = np.flatnonzero(np.concatenate(([True], change)))
+    return signatures[:, first], order, targets[first]
 
 
 #: ``(uniques, slice_fn)`` — the global sorted uniques of a column
@@ -179,6 +236,12 @@ class Relation:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
         self._n = lengths.pop() if lengths else 0
         self._store = NumpyColumnStore(self._columns)
+
+    def __reduce__(self) -> Tuple[type, Tuple[Schema, ColumnStore]]:
+        """Pickle as the declared schema and the store, without the
+        code, key-sorter and hash caches.  A store is taken as is on
+        unpickling, and an on-disk store pickles as its directory."""
+        return (Relation, (self.schema, self._store))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -268,14 +331,7 @@ class Relation:
         writes into a temporary directory whose lifetime is tied to the
         returned relation's store.
         """
-        writer = MmapStoreWriter(
-            directory,
-            [
-                (spec.name, "int" if spec.dtype is Dtype.INT else "dict")
-                for spec in self.schema
-            ],
-            chunk_rows=chunk_rows,
-        )
+        writer = MmapStoreWriter(directory, self.schema, chunk_rows=chunk_rows)
         try:
             for start, stop in _strided_bounds(self._n, chunk_rows):
                 writer.append(
@@ -389,14 +445,13 @@ class Relation:
     def mask(self, predicate: Predicate) -> np.ndarray:
         """Boolean selection mask for a predicate.
 
-        Chunked relations evaluate condition-by-condition over column
-        slices; dictionary-encoded columns evaluate each condition once
-        on the (small) dictionary and gather the per-row answer through
-        the codes — no object column is ever materialised.
+        Conditions are evaluated one by one over each chunk's column
+        slices (an in-RAM relation is one chunk); dictionary-encoded
+        columns evaluate each condition once on the (small) dictionary
+        and gather the per-row answer through the codes — no object
+        column is ever materialised.
         """
         self.schema.require(predicate.attributes)
-        if not self._store.is_chunked:
-            return predicate.mask(self._columns, self._n)
         out = np.ones(self._n, dtype=bool)
         for attr, cond in predicate.items:
             values = self._store.dictionary(attr)
@@ -496,12 +551,13 @@ class Relation:
     def _group_slices(
         self, names: Sequence[str]
     ) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
-        """The shared lexsort-and-split kernel behind the group-by ops.
+        """The lexsort-and-split behind the group-by ops.
 
         Returns ``(keys, order, starts)``: the distinct key tuples, a row
         permutation grouping equal keys contiguously (stable, so indices
         stay ascending within a group), and the start offset of each group
         in ``order``.  ``keys[g]`` labels ``order[starts[g]:starts[g+1]]``.
+        Each chunk's global codes are one block of :func:`group_codes`.
         """
         self.schema.require(names)
         n = self._n
@@ -513,64 +569,23 @@ class Relation:
                 np.arange(n, dtype=np.int64),
                 np.zeros(1, dtype=np.int64),
             )
-        if self._store.is_chunked:
-            return self._group_slices_chunked(names)
-        cols = [self.column(name) for name in names]
-        codes = [self.codes(name)[0] for name in names]
-        # lexsort treats its *last* key as primary; reverse so names[0] leads.
-        order = np.lexsort(codes[::-1])
-        stacked = np.vstack([c[order] for c in codes])
-        change = (stacked[:, 1:] != stacked[:, :-1]).any(axis=0)
-        starts = np.flatnonzero(np.concatenate(([True], change)))
-        first_rows = order[starts]
-        keys = list(zip(*(col[first_rows].tolist() for col in cols)))
-        return keys, order, starts
-
-    def _group_slices_chunked(
-        self, names: Sequence[str]
-    ) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
-        """Chunk-merge variant of :meth:`_group_slices`.
-
-        Each chunk is lexsorted and split on *global* codes; per-group row
-        runs are then merged across chunks in ascending code-tuple order —
-        exactly the order (and content) one global lexsort would emit,
-        because a stable global lexsort lists groups by ascending code
-        tuple and rows within a group by ascending index.
-        """
         infos = [self._codes_info(name) for name in names]
-        groups: Dict[tuple, List[np.ndarray]] = {}
-        for start, stop in self._store.chunk_bounds():
-            cols = [slice_fn(start, stop) for _, slice_fn in infos]
-            order = np.lexsort(cols[::-1])
-            stacked = np.vstack([c[order] for c in cols])
-            change = (stacked[:, 1:] != stacked[:, :-1]).any(axis=0)
-            starts = np.flatnonzero(np.concatenate(([True], change)))
-            bounds = np.append(starts, stop - start)
-            rows = order + start
-            for g, s in enumerate(starts):
-                sig = tuple(int(c) for c in stacked[:, s])
-                groups.setdefault(sig, []).append(rows[s:bounds[g + 1]])
-        keys: List[tuple] = []
-        starts_list: List[int] = []
-        order_parts: List[np.ndarray] = []
-        offset = 0
-        for sig in sorted(groups):
-            parts = groups[sig]
-            keys.append(
-                tuple(
-                    _scalar(uniques[c])
-                    for (uniques, _), c in zip(infos, sig)
+        signatures, order, starts = group_codes(
+            (
+                np.arange(start, stop, dtype=np.int64),
+                [slice_fn(start, stop) for _, slice_fn in infos],
+            )
+            for start, stop in self._store.chunk_bounds()
+        )
+        keys = list(
+            zip(
+                *(
+                    uniques[codes].tolist()
+                    for (uniques, _), codes in zip(infos, signatures)
                 )
             )
-            starts_list.append(offset)
-            order_parts.extend(parts)
-            offset += sum(len(p) for p in parts)
-        order = (
-            np.concatenate(order_parts)
-            if order_parts
-            else np.empty(0, dtype=np.int64)
         )
-        return keys, order, np.asarray(starts_list, dtype=np.int64)
+        return keys, order, starts
 
     def distinct(self, names: Sequence[str]) -> List[tuple]:
         """Distinct value combinations, in canonical order.

@@ -22,8 +22,9 @@ logical store, which is how projections and column appends on a
 disk-backed relation stay O(1) instead of rewriting gigabytes.
 
 All stores are picklable: the mmap store ships only its directory path
-across process boundaries (the worker re-reads the manifest), matching
-the payload-slicing pattern of :mod:`repro.core.parallel_snowflake`.
+across process boundaries (the worker re-reads the manifest), so a
+disk-backed :class:`~repro.relational.relation.Relation` sent to a pool
+worker costs a path, not its rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import json
 import shutil
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -52,6 +52,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.errors import SchemaError
+from repro.relational.schema import Schema
+from repro.relational.types import Dtype
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -60,7 +62,6 @@ __all__ = [
     "MmapColumnStore",
     "MmapStoreWriter",
     "NumpyColumnStore",
-    "StorageOptions",
     "factorize_objects",
     "first_seen_codes",
     "require_str",
@@ -444,12 +445,13 @@ class CompositeStore(ColumnStore):
 
 
 class MmapStoreWriter:
-    """Streams row blocks into a new :class:`MmapColumnStore`.
+    """Streams row blocks of a relation into a new :class:`MmapColumnStore`.
 
-    ``columns`` declares ``(name, kind)`` pairs with ``kind`` one of
-    ``"int"`` (raw int64) or ``"dict"`` (dictionary-encoded objects).
-    Blocks appended via :meth:`append` may have any length — ``chunk_rows``
-    is purely the read-side granularity recorded in the manifest.
+    ``schema`` is the relation's: an INT column is stored as raw int64
+    (manifest kind ``"int"``), a STR column dictionary-encoded (kind
+    ``"dict"``).  Blocks appended via :meth:`append` may have any
+    length — ``chunk_rows`` is purely the read-side granularity
+    recorded in the manifest.
     Each block of a string column is factorized like the in-RAM
     :func:`factorize_objects`, and its uniques get dictionary codes in
     first-seen order: a value's code is its rank of first appearance,
@@ -461,7 +463,7 @@ class MmapStoreWriter:
     def __init__(
         self,
         directory: Union[str, Path, None],
-        columns: Sequence[Tuple[str, str]],
+        schema: Schema,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ) -> None:
         if chunk_rows < 1:
@@ -488,9 +490,9 @@ class MmapStoreWriter:
         self._tables: Dict[str, Dict[object, int]] = {}
         self._num_rows = 0
         self._finalized = False
-        for index, (name, kind) in enumerate(columns):
-            if kind not in ("int", "dict"):
-                raise SchemaError(f"unknown column kind {kind!r}")
+        for index, spec in enumerate(schema):
+            name = spec.name
+            kind = "int" if spec.dtype is Dtype.INT else "dict"
             self._columns.append((name, kind))
             path = self._directory / f"col_{index}.npy"
             handle = path.open("wb")
@@ -575,26 +577,3 @@ class MmapStoreWriter:
         store = MmapColumnStore(self._directory)
         store._owned = self._owned
         return store
-
-
-@dataclass(frozen=True)
-class StorageOptions:
-    """How relations built from a spec spill to the on-disk store.
-
-    ``directory=None`` puts each converted relation in its own
-    temporary directory, cleaned up when the store is garbage-collected.
-    A spec that keeps its relations in RAM passes no options at all.
-    """
-
-    chunk_rows: int = DEFAULT_CHUNK_ROWS
-    directory: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_rows < 1:
-            raise SchemaError("chunk_rows must be >= 1")
-
-    def relation_directory(self, name: str) -> Optional[Path]:
-        """Where a converted relation's store lives (``None`` = temp)."""
-        if self.directory is None:
-            return None
-        return Path(self.directory) / name

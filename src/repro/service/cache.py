@@ -36,7 +36,6 @@ from repro.relational.schema import ColumnSpec, Schema
 from repro.relational.store import (
     DEFAULT_CHUNK_ROWS,
     MmapColumnStore,
-    MmapStoreWriter,
     NumpyColumnStore,
 )
 from repro.relational.types import Dtype
@@ -61,34 +60,6 @@ class CachedEdge:
     report: Dict[str, object] = field(default_factory=dict)
 
 
-def _kind(dtype: Dtype) -> str:
-    return "int" if dtype is Dtype.INT else "dict"
-
-
-def _write_relation_store(
-    directory: Path, relation: Relation, chunk_rows: int
-) -> None:
-    writer = MmapStoreWriter(
-        directory,
-        [(name, _kind(relation.schema.dtype(name)))
-         for name in relation.schema.names],
-        chunk_rows=chunk_rows,
-    )
-    store = relation.store
-    try:
-        for start, stop in store.chunk_bounds():
-            writer.append(
-                {
-                    name: store.column_slice(name, start, stop)
-                    for name in relation.schema.names
-                }
-            )
-        writer.finalize()
-    except BaseException:
-        writer.discard()
-        raise
-
-
 def _load_column(store: MmapColumnStore, spec: ColumnSpec) -> np.ndarray:
     """A cached column as ``spec`` declares it (checked on open)."""
     column = store.column(spec.name)
@@ -108,15 +79,11 @@ class EdgeCache:
     """
 
     def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        *,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        self, directory: Optional[Union[str, Path]] = None
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self._chunk_rows = chunk_rows
         self._memory: Dict[str, CachedEdge] = {}
         self._lock = threading.Lock()
         self._counter = 0
@@ -211,10 +178,8 @@ class EdgeCache:
                 Schema((entry.fk_spec,)),
                 NumpyColumnStore({entry.fk_spec.name: entry.fk_values}),
             )
-            _write_relation_store(tmp / "fk", fk_relation, self._chunk_rows)
-            _write_relation_store(
-                tmp / "parent", entry.parent, self._chunk_rows
-            )
+            fk_relation.to_store(DEFAULT_CHUNK_ROWS, tmp / "fk")
+            entry.parent.to_store(DEFAULT_CHUNK_ROWS, tmp / "parent")
             meta = {
                 "version": _ENTRY_VERSION,
                 "fk": {

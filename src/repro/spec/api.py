@@ -204,10 +204,10 @@ def spill_guard(spec: SynthesisSpec) -> Iterator[None]:
     directory this is a no-op: temp-dir spills already clean themselves
     up with the store's lifetime.
     """
-    storage = spec.storage_options()
+    options = spec.options
     root: Optional[Path] = None
-    if storage is not None and storage.directory is not None:
-        root = Path(storage.directory)
+    if options.storage == "mmap" and options.storage_dir is not None:
+        root = Path(options.storage_dir)
     existed = root is not None and root.exists()
     before = {p.name for p in root.iterdir()} if existed else set()
     try:

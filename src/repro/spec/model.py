@@ -32,7 +32,7 @@ from repro.relational.csvio import (
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
-from repro.relational.store import NumpyColumnStore, StorageOptions
+from repro.relational.store import NumpyColumnStore
 from repro.relational.types import Dtype, infer_dtype
 
 __all__ = ["RelationSpec", "EdgeSpec", "SynthesisSpec"]
@@ -88,22 +88,25 @@ class RelationSpec:
     def build(
         self,
         base_dir: Optional[Path] = None,
-        storage: Optional[StorageOptions] = None,
+        options: Optional[SolverConfig] = None,
     ) -> Relation:
         """Materialise the relation this spec describes.
 
-        With :class:`StorageOptions` the result is backed by a chunked
-        on-disk column store; a CSV source streams straight from the file
-        to disk without ever materialising the table.  The values (and
-        therefore the synthesis output) are identical either way.
+        With ``options.storage == "mmap"`` the result is backed by a
+        chunked on-disk column store in ``storage_dir/<name>`` (a
+        temporary directory when ``storage_dir`` is ``None``); a CSV
+        source streams straight from the file to disk without ever
+        materialising the table.  The values (and therefore the
+        synthesis output) are identical either way.
         """
-        spill = storage is not None
+        config = options or SolverConfig()
+        spill = config.storage == "mmap"
+        directory: Optional[Path] = None
+        if config.storage_dir is not None:
+            directory = Path(config.storage_dir) / self.name
         if self.relation is not None:
             if spill and not self.relation.is_chunked:
-                return self.relation.to_store(
-                    storage.chunk_rows,
-                    storage.relation_directory(self.name),
-                )
+                return self.relation.to_store(config.chunk_rows, directory)
             return self.relation
         if self.csv is not None:
             path = Path(self.csv)
@@ -119,8 +122,8 @@ class RelationSpec:
                     return read_csv_store(
                         path,
                         schema,
-                        chunk_rows=storage.chunk_rows,
-                        directory=storage.relation_directory(self.name),
+                        chunk_rows=config.chunk_rows,
+                        directory=directory,
                     )
                 built = read_csv_infer(path, key=self.key)
             except OSError as exc:
@@ -140,9 +143,7 @@ class RelationSpec:
             # Inline columns and dtype-overridden CSVs are small; convert
             # after the (identical) in-RAM build so overrides keep their
             # lenient coercion semantics on both backends.
-            built = built.to_store(
-                storage.chunk_rows, storage.relation_directory(self.name)
-            )
+            built = built.to_store(config.chunk_rows, directory)
         return built
 
     def _apply_dtypes(
@@ -494,24 +495,13 @@ class SynthesisSpec:
             )
         return roots[0]
 
-    def storage_options(self) -> Optional[StorageOptions]:
-        """The relation-storage policy implied by the solver options
-        (``None`` for the default all-in-RAM backend)."""
-        if self.options.storage == "numpy":
-            return None
-        return StorageOptions(
-            chunk_rows=self.options.chunk_rows,
-            directory=self.options.storage_dir,
-        )
-
     def to_database(self) -> Database:
         """Materialise every relation and declare every FK edge."""
         self.validate()
-        storage = self.storage_options()
         database = Database()
         for spec in self.relations:
             database.add_relation(
-                spec.name, spec.build(self.base_dir, storage)
+                spec.name, spec.build(self.base_dir, self.options)
             )
         for edge in self.edges:
             database.add_foreign_key(edge.child, edge.column, edge.parent)
@@ -570,6 +560,10 @@ class SynthesisSpec:
                 f"unknown solver options {sorted(bad)} "
                 f"(known: {sorted(valid)})"
             )
+        try:
+            config = SolverConfig(**dict(options))
+        except ValueError as exc:
+            raise SchemaError(f"invalid solver option: {exc}") from None
         spec = cls(
             relations=[
                 RelationSpec.from_dict(entry)
@@ -580,7 +574,7 @@ class SynthesisSpec:
                 for entry in data.get("edges", [])
             ],
             fact_table=data.get("fact_table"),
-            options=SolverConfig(**dict(options)),
+            options=config,
             name=data.get("name", ""),
             base_dir=base_dir,
         )

@@ -169,6 +169,36 @@ class TestPipelineCommands:
         assert "'penalty' must be a number" in err
         assert not (tmp_path / "out").exists()
 
+    def test_mistyped_solver_option_reports_error_not_traceback(
+        self, tmp_path, capsys
+    ):
+        # A string chunk_rows used to escape as a raw TypeError (exit 1)
+        # from SolverConfig's range check.
+        spec = tmp_path / "bad.toml"
+        spec.write_text(
+            "[options]\n"
+            'chunk_rows = "8"\n'
+            "[[relations]]\n"
+            'name = "r1"\n'
+            'key = "pid"\n'
+            "columns = { pid = [1, 2], Age = [3, 4] }\n"
+            "[[relations]]\n"
+            'name = "r2"\n'
+            'key = "hid"\n'
+            'columns = { hid = [1], Area = ["X"] }\n'
+            "[[edges]]\n"
+            'child = "r1"\n'
+            'column = "hid"\n'
+            'parent = "r2"\n'
+        )
+        code = main(["solve", "--spec", str(spec),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "chunk_rows must be an int" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvInference:
     def test_read_csv_infer(self, tmp_path):

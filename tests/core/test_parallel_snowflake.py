@@ -7,20 +7,20 @@ hypothesis test below drives that across random schemas; the batching
 tests pin the conflict rules the guarantee rests on.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SolverConfig
-from repro.core.parallel_snowflake import (
-    edge_payload,
-    solve_edge,
-    solve_edge_payload,
-)
+from repro.core.parallel_snowflake import solve_edge, solve_edge_args
 from repro.core.snowflake import EdgeConstraints, SnowflakeSynthesizer
 from repro.relational.database import Database
 from repro.relational.relation import Relation
+from repro.relational.schema import ColumnSpec, Schema
+from repro.relational.types import Dtype
 
 
 def assert_databases_equal(a: Database, b: Database) -> None:
@@ -164,8 +164,9 @@ class TestParallelEquivalence:
 
 
 class TestWorkerProtocol:
-    def test_payload_round_trip_matches_in_process_solve(self):
-        """The worker's rebuilt-relation solve equals the direct solve."""
+    def test_pickled_inputs_solve_like_originals(self):
+        """A worker's solve of pickled inputs, its result pickled back,
+        equals the direct solve."""
         from repro.constraints.parser import parse_dc
 
         rng = np.random.default_rng(2)
@@ -183,9 +184,10 @@ class TestWorkerProtocol:
             dcs=[parse_dc("not(t1.X == 0 & t2.X == 2)")]
         )
         config = SolverConfig()
-        direct = solve_edge(extended, parent, "fk", constraints, config)
-        shipped = solve_edge_payload(
-            edge_payload(extended, parent, "fk", constraints, config)
+        args = (extended, parent, "fk", constraints, config)
+        direct = solve_edge(*args)
+        shipped = pickle.loads(
+            pickle.dumps(solve_edge_args(pickle.loads(pickle.dumps(args))))
         )
         assert np.array_equal(
             direct.r1_hat.column("fk"), shipped.r1_hat.column("fk")
@@ -196,15 +198,28 @@ class TestWorkerProtocol:
                 direct.r2_hat.column(column), shipped.r2_hat.column(column)
             )
 
-    def test_payload_ships_columns_not_relations(self):
-        relation = Relation.from_columns({"k": [1, 2], "A": [3, 4]}, key="k")
-        payload = edge_payload(
-            relation, relation, "fk", EdgeConstraints(), SolverConfig()
+    def test_relation_pickles_schema_and_store_only(self, tmp_path):
+        """A relation crosses a process boundary as its declared schema
+        and its store: no caches, and an on-disk store as its path."""
+        columns = {"k": [1, 2, 3], "A": ["3", "4", "3"]}
+        schema = Schema(
+            [ColumnSpec("k", Dtype.INT), ColumnSpec("A", Dtype.STR)], key="k"
         )
-        schema, columns = payload[0], payload[1]
-        assert schema == relation.schema
-        assert set(columns) == {"k", "A"}
-        assert all(isinstance(arr, np.ndarray) for arr in columns.values())
+        warm = Relation(schema, columns)
+        warm.codes("A")
+        warm.key_positions([2])
+        warm.content_hash()
+        assert len(pickle.dumps(warm)) == len(
+            pickle.dumps(Relation(schema, columns))
+        )
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone.schema == schema  # all-digit strings stay STR
+        assert clone.content_hash() == warm.content_hash()
+        disk = warm.to_store(chunk_rows=2, directory=tmp_path / "s")
+        moved = pickle.loads(pickle.dumps(disk))
+        assert moved.is_chunked
+        assert moved.store.directory == disk.store.directory
+        assert moved.content_hash() == warm.content_hash()
 
 
 class TestConflictFreeBatching:

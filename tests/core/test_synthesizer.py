@@ -62,6 +62,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(marginals="sometimes")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("soft_ccs", "false"),
+            ("force_ilp", 1),
+            ("partitioned_coloring", None),
+            ("evaluate", "no"),
+            ("workers", 2.5),
+            ("workers", True),
+            ("chunk_rows", "8"),
+            ("chunk_rows", False),
+            ("time_limit", "5"),
+            ("time_limit", True),
+            ("mip_gap", False),
+            ("storage_dir", 3),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverConfig(**{field: value})
+
+    def test_chunk_rows_below_one_rejected(self):
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            SolverConfig(chunk_rows=0)
+
+    def test_numbers_and_none_accepted(self):
+        config = SolverConfig(time_limit=5, mip_gap=0.5, storage_dir="d")
+        assert (config.time_limit, config.mip_gap) == (5, 0.5)
+        assert SolverConfig(time_limit=None).time_limit is None
+
     def test_evaluation_can_be_disabled(
         self, paper_r1, paper_r2, paper_ccs, paper_dcs
     ):

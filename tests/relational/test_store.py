@@ -20,10 +20,13 @@ from repro.relational import (
     NumpyColumnStore,
     Relation,
     Schema,
-    StorageOptions,
 )
 from repro.relational.join import fk_join
 from repro.relational.predicate import Interval, Predicate, ValueSet
+
+
+def _schema(**dtypes):
+    return Schema([ColumnSpec(name, dtype) for name, dtype in dtypes.items()])
 
 
 def _sample_relation(n=500, seed=0):
@@ -91,14 +94,16 @@ class TestMmapStore:
 
     def test_writer_rejects_ragged_blocks(self, tmp_path):
         writer = MmapStoreWriter(
-            tmp_path / "s", [("a", "int"), ("b", "int")], chunk_rows=8
+            tmp_path / "s", _schema(a=Dtype.INT, b=Dtype.INT), chunk_rows=8
         )
         with pytest.raises(SchemaError):
             writer.append({"a": [1, 2], "b": [1]})
         writer.discard()
 
     def test_rejected_ragged_block_leaves_store_unchanged(self, tmp_path):
-        writer = MmapStoreWriter(tmp_path / "s", [("a", "int"), ("b", "dict")])
+        writer = MmapStoreWriter(
+            tmp_path / "s", _schema(a=Dtype.INT, b=Dtype.STR)
+        )
         with pytest.raises(SchemaError, match="ragged"):
             writer.append({"a": [1, 2], "b": ["x"]})
         writer.append({"a": [3], "b": ["y"]})
@@ -110,7 +115,9 @@ class TestMmapStore:
     def test_writer_rejects_unserialisable_dictionary(self, tmp_path):
         """A dictionary column holds str only; a rejected block leaves
         the store as it was."""
-        writer = MmapStoreWriter(tmp_path / "s", [("n", "int"), ("a", "dict")])
+        writer = MmapStoreWriter(
+            tmp_path / "s", _schema(n=Dtype.INT, a=Dtype.STR)
+        )
         values = np.empty(2, dtype=object)
         values[:] = ["t", frozenset({"t"})]  # hashable, not JSON-serialisable
         with pytest.raises(SchemaError, match="'a' .* type frozenset"):
@@ -130,17 +137,17 @@ class TestMmapStore:
         target = tmp_path / "spill"
         _sample_relation(20).to_store(chunk_rows=8, directory=target)
         with pytest.raises(SchemaError, match="already exists"):
-            MmapStoreWriter(target, [("a", "int")])
+            MmapStoreWriter(target, _schema(a=Dtype.INT))
         # An empty pre-existing directory is fine (mkdir -p semantics).
         empty = tmp_path / "empty"
         empty.mkdir()
-        writer = MmapStoreWriter(empty, [("a", "int")])
+        writer = MmapStoreWriter(empty, _schema(a=Dtype.INT))
         writer.append({"a": np.asarray([1, 2], dtype=np.int64)})
         writer.finalize()
 
     def test_discard_removes_partial_named_directory(self, tmp_path):
         target = tmp_path / "partial"
-        writer = MmapStoreWriter(target, [("a", "int"), ("b", "dict")])
+        writer = MmapStoreWriter(target, _schema(a=Dtype.INT, b=Dtype.STR))
         writer.append(
             {
                 "a": np.asarray([1, 2], dtype=np.int64),
@@ -150,11 +157,11 @@ class TestMmapStore:
         writer.discard()
         assert not target.exists()
         # The collision check no longer trips: the path is reusable.
-        MmapStoreWriter(target, [("a", "int")]).finalize()
+        MmapStoreWriter(target, _schema(a=Dtype.INT)).finalize()
 
     def test_discard_after_finalize_keeps_store(self, tmp_path):
         target = tmp_path / "live"
-        writer = MmapStoreWriter(target, [("a", "int")])
+        writer = MmapStoreWriter(target, _schema(a=Dtype.INT))
         writer.append({"a": np.asarray([3, 1], dtype=np.int64)})
         store = writer.finalize()
         writer.discard()  # no-op: never deletes a live store
@@ -271,17 +278,6 @@ class TestFrozenColumns:
         projected = rel.project(["v"])
         with pytest.raises(ValueError):
             projected.column("v")[0] = 99
-
-
-class TestStorageOptions:
-    def test_validation(self):
-        with pytest.raises(SchemaError):
-            StorageOptions(chunk_rows=0)
-
-    def test_relation_directory(self, tmp_path):
-        options = StorageOptions(directory=str(tmp_path))
-        assert options.relation_directory("events") == tmp_path / "events"
-        assert StorageOptions().relation_directory("events") is None
 
 
 class TestNumpyStoreContract:
@@ -403,6 +399,95 @@ class TestKernelEquivalence:
         expected = dc_error_naive(ram, "fk", dcs)
         assert dc_error(ram, "fk", dcs) == expected
         assert dc_error(chunked, "fk", dcs) == expected
+
+
+@st.composite
+def _wide_relations(draw):
+    """A relation whose ``u``/``v``/``w`` columns have ``k >= 11``
+    distinct values each, so grouping on all three spans a key space
+    above ``max(4n, 1024)``, next to low-cardinality ``a``/``s``."""
+    k = draw(st.integers(11, 16))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=30))
+    picks = draw(st.permutations(list(range(k)) + extra))
+    n = len(picks)
+    us = draw(st.lists(st.integers(-10**6, 10**6), min_size=k, max_size=k,
+                       unique=True))
+    ws = draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k,
+                       unique=True))
+    pool = [(us[i], f"v{i:02d}", ws[i]) for i in range(k)]
+    a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    s = draw(st.lists(st.sampled_from(_CATS), min_size=n, max_size=n))
+    columns = {
+        "a": np.asarray(a, dtype=np.int64),
+        "s": np.asarray(s, dtype=object),
+        "u": np.asarray([pool[i][0] for i in picks], dtype=np.int64),
+        "v": np.asarray([pool[i][1] for i in picks], dtype=object),
+        "w": np.asarray([pool[i][2] for i in picks], dtype=np.int64),
+    }
+    schema = Schema(
+        [
+            ColumnSpec(name, Dtype.STR if name in ("s", "v") else Dtype.INT)
+            for name in columns
+        ]
+    )
+    return Relation(schema, columns)
+
+
+@st.composite
+def _assignments(draw):
+    """A Phase-I assignment with partial, complete and invalid rows."""
+    from repro.phase1.assignment import ViewAssignment
+
+    q = draw(st.integers(0, 3))
+    attrs = ("B0", "B1", "B2")[:q]
+    n = draw(st.integers(0, 40))
+    assignment = ViewAssignment(n=n, r2_attrs=attrs)
+    for row in range(n):
+        values = {
+            attr: draw(st.sampled_from(["x", "y", "", "z"]))
+            for attr in attrs
+            if draw(st.integers(0, 5))
+        }
+        if values or draw(st.booleans()):
+            assignment.assign(row, values)
+    if n:
+        assignment.mark_invalid_rows(
+            draw(st.lists(st.integers(0, n - 1), max_size=4))
+        )
+    return assignment
+
+
+class TestChunkMergeGrouping:
+    """Chunked grouping equals the in-RAM result item for item and in
+    order, at chunk sizes that split groups across chunks."""
+
+    @_HYPOTHESIS
+    @given(rel=_wide_relations(), chunk=st.sampled_from([1, 2, 7, None]))
+    def test_relation_groups(self, rel, chunk):
+        n = len(rel)
+        disk = rel.to_store(chunk_rows=n + 1 if chunk is None else chunk)
+        for names in ([], ["a"], ["s"], ["s", "a"], ["a", "s", "u"],
+                      ["w", "v", "u"]):
+            ram, ooc = rel.group_indices(names), disk.group_indices(names)
+            assert list(ram) == list(ooc)
+            for key in ram:
+                assert ram[key].tolist() == ooc[key].tolist()
+        cells = 1
+        for name in ("u", "v", "w"):
+            cells *= len(rel.codes(name)[1])
+        assert cells > max(4 * n, 1024)  # the sort path, not bincount
+        assert list(rel.group_counts(["u", "v", "w"]).items()) == list(
+            disk.group_counts(["u", "v", "w"]).items()
+        )
+
+    @_HYPOTHESIS
+    @given(assignment=_assignments())
+    def test_group_by_combo(self, assignment):
+        whole = list(assignment.group_by_combo().items())
+        for chunk_rows in (1, 2, 7):
+            assert list(
+                assignment.group_by_combo(chunk_rows=chunk_rows).items()
+            ) == whole
 
 
 class TestFkJoinErrors:

@@ -80,7 +80,7 @@ def _manifest_with_int(tmp_path):
 
 
 def _writer_append(tmp_path):
-    writer = MmapStoreWriter(tmp_path / "s", [("w", "dict")])
+    writer = MmapStoreWriter(tmp_path / "s", STR_SCHEMA)
     try:
         writer.append({"w": np.asarray(MIXED, dtype=object)})
     finally:
@@ -277,7 +277,7 @@ class TestStoreWriter:
         self, tmp_path_factory, blocks
     ):
         directory = tmp_path_factory.mktemp("store")
-        writer = MmapStoreWriter(directory / "s", [("w", "dict")])
+        writer = MmapStoreWriter(directory / "s", STR_SCHEMA)
         table: Dict[object, int] = {}
         seen: List[object] = []
         want = []
@@ -292,7 +292,7 @@ class TestStoreWriter:
         )
 
     def test_non_str_block_is_rejected(self, tmp_path):
-        writer = MmapStoreWriter(tmp_path / "s", [("w", "dict")])
+        writer = MmapStoreWriter(tmp_path / "s", STR_SCHEMA)
         writer.append({"w": ["b", "a"]})
         with pytest.raises(SchemaError, match="'w' .* type int"):
             writer.append({"w": np.asarray(["c", 2], dtype=object)})

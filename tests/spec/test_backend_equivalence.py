@@ -147,11 +147,16 @@ class TestBackendEquivalence:
 )
 @pytest.mark.parametrize("chunk_rows", [1, 3, 262_144])
 def test_example_specs_identical(path, chunk_rows):
-    """Every shipped example spec: mmap output is identical to in-RAM."""
+    """Every shipped example spec: mmap output is identical to in-RAM,
+    solved in-process and on a two-worker pool."""
     base = synthesize(load_spec(path).with_options(evaluate=False))
-    alt = synthesize(
-        load_spec(path).with_options(
-            evaluate=False, storage="mmap", chunk_rows=chunk_rows
+    for workers in (0, 2):
+        alt = synthesize(
+            load_spec(path).with_options(
+                evaluate=False,
+                storage="mmap",
+                chunk_rows=chunk_rows,
+                workers=workers,
+            )
         )
-    )
-    assert base.database.identical_to(alt.database)
+        assert base.database.identical_to(alt.database), workers

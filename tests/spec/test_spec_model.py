@@ -65,6 +65,24 @@ class TestRelationSpec:
         relation = spec.build(tmp_path)
         assert len(relation) == 1 and relation.schema.key == "pid"
 
+    def test_mmap_build_spills_under_storage_dir(self, tmp_path):
+        """On the mmap backend a relation spills into
+        ``storage_dir/<name>``, or a temporary directory without one."""
+        spec = RelationSpec(name="events", columns={"a": [1, 2, 3]})
+        named = spec.build(
+            options=SolverConfig(
+                storage="mmap", chunk_rows=2, storage_dir=str(tmp_path)
+            )
+        )
+        assert named.is_chunked and named.chunk_rows == 2
+        assert named.store.directory == tmp_path / "events"
+        temp = spec.build(options=SolverConfig(storage="mmap"))
+        assert temp.is_chunked
+        assert tmp_path not in temp.store.directory.parents
+        in_ram = spec.build(options=SolverConfig(storage_dir=str(tmp_path)))
+        assert not in_ram.is_chunked
+        assert named.column("a").tolist() == in_ram.column("a").tolist()
+
     def test_in_memory_relation_serialises_to_columns(self):
         relation = Relation.from_columns({"k": [1, 2], "v": ["a", "b"]},
                                          key="k")
@@ -191,6 +209,46 @@ class TestSynthesisSpec:
             path.write_text(toml_dumps(data))
             with pytest.raises(SchemaError, match="unknown solver options"):
                 load_spec(path)
+
+    @pytest.mark.parametrize(
+        "table, value, fragment",
+        [
+            ("options", {"chunk_rows": "8"}, "chunk_rows must be an int"),
+            ("options", {"soft_ccs": "false"}, "soft_ccs must be a bool"),
+            ("options", {"workers": 2.5}, "workers must be an int"),
+            ("solver", {"evaluate": "no"}, "evaluate must be a bool"),
+        ],
+        ids=["chunk_rows-str", "soft_ccs-str", "workers-float",
+             "edge-evaluate-str"],
+    )
+    def test_mistyped_option_rejected(self, tmp_path, table, value, fragment):
+        """Each of these used to load: a string chunk_rows then crashed
+        with a raw TypeError, and the rest ran as if valid."""
+        data = _two_table_spec().to_dict()
+        if table == "options":
+            data["options"] = value
+        else:
+            data["edges"][0]["solver"] = value
+        path = tmp_path / "spec.toml"
+        path.write_text(toml_dumps(data))
+        with pytest.raises(SchemaError, match=fragment):
+            load_spec(path)
+
+    def test_failed_run_removes_its_spills(self, tmp_path):
+        from repro.spec.api import spill_guard
+
+        root = tmp_path / "spill"
+        spec = _two_table_spec().with_options(
+            storage="mmap", storage_dir=str(root)
+        )
+        with pytest.raises(RuntimeError):
+            with spill_guard(spec):
+                spec.to_database()
+                assert sorted(p.name for p in root.iterdir()) == [
+                    "r1", "r2",
+                ]
+                raise RuntimeError("edge failed")
+        assert not root.exists()
 
     def test_builder_options_exclusive(self):
         with pytest.raises(SchemaError):
