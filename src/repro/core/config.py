@@ -19,7 +19,6 @@ _NONE = type(None)
 _FIELD_TYPES = {
     "soft_ccs": (_FLAG, "a bool"),
     "force_ilp": (_FLAG, "a bool"),
-    "partitioned_coloring": (_FLAG, "a bool"),
     "workers": ((numbers.Integral,), "an int"),
     "evaluate": (_FLAG, "a bool"),
     "time_limit": ((numbers.Real, _NONE), "a number or None"),
@@ -33,7 +32,10 @@ _FIELD_TYPES = {
 class SolverConfig:
     """Knobs for the end-to-end C-Extension solver.
 
-    Every Phase-I ILP is solved by HiGHS (:func:`repro.solver.solve_model`).
+    Every Phase-I ILP is solved by HiGHS (:func:`repro.solver.solve_model`),
+    and Phase II always colors one combo partition at a time (Section
+    5.2); the one-global-graph ablation is
+    ``benchmarks/test_ablation_partitioning.py``'s own loop.
 
     * ``marginals`` — marginal augmentation for the ILP leg: ``"relevant"``
       (hybrid's modified marginals, the default), ``"all"`` (Section 4.1
@@ -41,14 +43,13 @@ class SolverConfig:
     * ``soft_ccs`` — encode CC rows with L1 slack (always feasible); when
       ``False`` an inconsistent CC system raises ``InfeasibleError``.
     * ``force_ilp`` — send every CC to Algorithm 1 (ablation / baselines).
-    * ``partitioned_coloring`` — the Section 5.2 partition optimization;
-      ``False`` builds one global conflict graph (ablation).
     * ``workers`` — solve conflict-free snowflake FK edges of one BFS
       layer on a process pool of this size; ``0``/``1`` keeps the
       traversal sequential.  Output is byte-identical either way.
     * ``evaluate`` — compute CC/DC error measures on the result.
     * ``time_limit`` — wall-clock budget (seconds) for each Phase-I ILP
       solve; a limited solve keeps its best incumbent (``None`` = exact).
+      It must be positive: zero, negative and NaN limits are rejected.
     * ``mip_gap`` — relative optimality gap accepted by the ILP solve
       (``None`` = solve to proven optimality).
     * ``storage`` — ``"numpy"`` keeps every relation in RAM (the default,
@@ -63,7 +64,6 @@ class SolverConfig:
     marginals: str = "relevant"
     soft_ccs: bool = True
     force_ilp: bool = False
-    partitioned_coloring: bool = True
     workers: int = 0
     evaluate: bool = True
     time_limit: Optional[float] = None
@@ -87,7 +87,10 @@ class SolverConfig:
             raise ValueError(f"unknown marginals mode {self.marginals!r}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive (or None)")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(
+                "time_limit must be positive (or None), "
+                f"got {self.time_limit!r}"
+            )
         if self.mip_gap is not None and not 0 <= self.mip_gap < 1:
             raise ValueError("mip_gap must be in [0, 1) (or None)")

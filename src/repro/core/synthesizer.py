@@ -159,7 +159,6 @@ class CExtensionSolver:
             fk_column,
             ccs=ccs,
             options=strategy_options,
-            partitioned=config.partitioned_coloring,
         )
         report.phase2_seconds = time.perf_counter() - started
         logger.info(

@@ -28,6 +28,10 @@ then synthesise data to stress them:
   DC families, 2–10 parent columns);
 * ``mixed`` — all of the above, drawn at random (the default).
 
+Some relations get STR primary keys that interleave with the
+``synthetic_<n>`` keys Phase II mints, so string FK columns, string
+mints and dictionary-encoded keys on disk-backed cells are exercised too.
+
 Every edge independently mixes Phase-II strategies (``capacity``,
 ``soft_capacity``, ``quota_coloring``), a per-edge ``time_limit``
 solver override and ``serialize`` flags, so one fuzz run crosses the
@@ -247,13 +251,23 @@ def _draw(
     return rng.choices(list(values), weights=weights, k=n)
 
 
+#: How often a relation gets a STR primary key.
+P_STR_KEY = 0.3
+#: STR key prefixes: they sort before, between and after the
+#: ``synthetic_<n>`` keys Phase II mints, and ``synthetic_`` itself can
+#: take a name a mint would otherwise get.
+_STR_KEY_PREFIXES = ("a", "s", "synthetic_", "t", "z")
+
+
 def _columns(
     rng: random.Random, rel: _Rel, profile: FuzzProfile
 ) -> Tuple[Dict[str, List[object]], Dict[str, str]]:
-    columns: Dict[str, List[object]] = {
-        rel.key: list(range(1, rel.rows + 1))
-    }
+    keys: List[object] = list(range(1, rel.rows + 1))
     dtypes: Dict[str, str] = {rel.key: "int"}
+    if rng.random() < P_STR_KEY:
+        keys = [f"{rng.choice(_STR_KEY_PREFIXES)}{i}" for i in keys]
+        dtypes[rel.key] = "str"
+    columns: Dict[str, List[object]] = {rel.key: keys}
     for attr, vocab in rel.cat.items():
         columns[attr] = _draw(rng, vocab, rel.rows, profile.zipf_alpha)
         dtypes[attr] = "str"

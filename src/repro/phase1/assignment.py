@@ -253,14 +253,14 @@ class ViewAssignment:
 
     def group_by_combo(
         self, chunk_rows: Optional[int] = None
-    ) -> Dict[tuple, List[int]]:
+    ) -> Dict[tuple, np.ndarray]:
         """Complete, valid rows grouped by their full B-combo.
 
         The Phase-II partitioning (Section 5.2): the code matrix rows of
         the complete, valid rows go through
         :func:`~repro.relational.relation.group_codes`, so combos come in
-        ascending code-tuple order and row lists ascend, matching the
-        order the per-row ``setdefault`` loop used to produce.
+        ascending code-tuple order and each group is an ascending row
+        array (a slice of the kernel's ``order``).
 
         ``chunk_rows`` bounds the working set: the rows are sorted and
         split ``chunk_rows`` at a time (one block when ``None``) and the
@@ -271,7 +271,7 @@ class ViewAssignment:
         if rows.size == 0:
             return {}
         if not self.r2_attrs:
-            return {(): rows.tolist()}
+            return {(): rows}
         step = rows.size if chunk_rows is None else chunk_rows
         signatures, order, starts = group_codes(
             (block, self._codes[block].T)
@@ -287,7 +287,7 @@ class ViewAssignment:
         )
         bounds = [*starts.tolist(), len(order)]
         return {
-            combo: order[start:stop].tolist()
+            combo: order[start:stop]
             for combo, start, stop in zip(combos, bounds, bounds[1:])
         }
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.constraints.cc import CardinalityConstraint
 from repro.relational.ordering import tuple_sort_key
 from repro.relational.predicate import Predicate
@@ -30,6 +32,8 @@ class ComboCatalog:
     attrs: Tuple[str, ...]
     combos: List[tuple]
     keys_by_combo: Dict[tuple, List[object]]
+    #: The ascending R2 row indices that carry each combo.
+    rows_by_combo: Dict[tuple, np.ndarray]
 
     @classmethod
     def from_relation(cls, r2: Relation) -> "ComboCatalog":
@@ -38,12 +42,13 @@ class ComboCatalog:
         key_values = r2.column(key_col)
         # Vectorised group-by; indices are ascending, so key lists keep
         # R2 row order exactly like the per-row loop did.
+        rows_by_combo = r2.group_indices(list(attrs))
         keys_by_combo: Dict[tuple, List[object]] = {
             combo: key_values[indices].tolist()
-            for combo, indices in r2.group_indices(list(attrs)).items()
+            for combo, indices in rows_by_combo.items()
         }
         combos = sorted(keys_by_combo.keys(), key=tuple_sort_key)
-        return cls(attrs=attrs, combos=combos, keys_by_combo=keys_by_combo)
+        return cls(attrs, combos, keys_by_combo, rows_by_combo)
 
     # ------------------------------------------------------------------
     def as_dict(self, combo: tuple) -> Dict[str, object]:

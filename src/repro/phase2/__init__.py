@@ -6,7 +6,7 @@ from repro.phase2.edges import (
     conflicting_pairs,
 )
 from repro.phase2.fk_assignment import (
-    FreshKeyFactory,
+    KeyTable,
     Phase2Result,
     Phase2Stats,
     run_phase2,
@@ -16,8 +16,8 @@ from repro.phase2.invalid import solve_invalid_tuples
 
 __all__ = [
     "ConflictHypergraph",
-    "FreshKeyFactory",
     "KeyCap",
+    "KeyTable",
     "Phase2Result",
     "Phase2Stats",
     "build_conflict_graph",

@@ -3,9 +3,12 @@
 Uncolored vertices are visited in non-increasing degree order.  A color is
 *forbidden* for ``v`` when some incident edge has every other member
 already colored with that same color (for binary edges: the neighbour's
-color).  The vertex takes the smallest permitted candidate; if every
+color).  The vertex takes the first permitted candidate; if every
 candidate is forbidden the vertex is *skipped* and returned to the caller
 (Algorithm 4 then mints fresh colors, i.e. fresh R2 keys).
+
+Colors are ints — positions in Phase II's per-edge key table — and a
+coloring is one color per vertex position, ``-1`` for uncolored.
 
 A :class:`KeyCap` adds the capacity strategies' per-key usage cap to the
 same loop: only the candidate choice changes, never the visit order or
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.phase2.hypergraph import ConflictHypergraph
@@ -50,10 +55,10 @@ class KeyCap:
 
     def choose(
         self,
-        pool: Sequence[object],
-        forbidden: Set[object],
-        usage: Dict[object, int],
-    ) -> Optional[object]:
+        pool: Sequence[int],
+        forbidden: Set[int],
+        usage: Dict[int, int],
+    ) -> Optional[int]:
         """The cheapest permitted candidate, or ``None`` to skip."""
         best = None
         best_cost = math.inf
@@ -74,37 +79,34 @@ class KeyCap:
 
 def coloring_lf(
     graph: ConflictHypergraph,
-    coloring: Dict[int, object],
-    candidates: Sequence[object],
-    candidate_lists: Optional[Dict[int, Sequence[object]]] = None,
+    color: np.ndarray,
+    candidates: Sequence[int],
     cap: Optional[KeyCap] = None,
-    usage: Optional[Dict[object, int]] = None,
-) -> Tuple[Dict[int, object], List[int]]:
-    """Run one largest-first pass; returns ``(coloring, skipped)``.
+    usage: Optional[Dict[int, int]] = None,
+) -> List[int]:
+    """Run one largest-first pass; returns the skipped positions.
 
-    ``coloring`` may already hold colors (the second pass of Algorithm 4
-    builds on the first); it is updated in place and also returned.
-    ``candidate_lists`` optionally overrides the shared candidate list per
-    vertex (used by the unpartitioned ablation, where lists differ per
-    row).  With a ``cap``, ``usage`` counts the rows each color already
-    serves (e.g. from an earlier pass) and is updated in place.
+    ``color`` holds a color per vertex position (``-1`` = uncolored) and
+    may already hold colors (the fresh-key retry of Algorithm 4 builds
+    on the first pass); the pass colors it in place.  With a ``cap``,
+    ``usage`` counts the rows each color already serves (e.g. from an
+    earlier pass) and is updated in place.
     """
     if cap is not None and usage is None:
         usage = {}
+    colors = color.tolist()
     skipped: List[int] = []
-    for v in graph.order(coloring):
-        forbidden = graph.forbidden(v, coloring)
-        pool = candidates
-        if candidate_lists is not None and v in candidate_lists:
-            pool = candidate_lists[v]
+    for v in graph.order(color):
+        forbidden = graph.forbidden(v, colors)
         if cap is None:
-            chosen = next((c for c in pool if c not in forbidden), None)
+            chosen = next((c for c in candidates if c not in forbidden), None)
         else:
-            chosen = cap.choose(pool, forbidden, usage)
+            chosen = cap.choose(candidates, forbidden, usage)
         if chosen is None:
             skipped.append(v)
         else:
-            coloring[v] = chosen
+            colors[v] = chosen
             if cap is not None:
                 usage[chosen] = usage.get(chosen, 0) + 1
-    return coloring, skipped
+    color[:] = colors
+    return skipped

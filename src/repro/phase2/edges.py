@@ -14,7 +14,7 @@ practice; the NAE-3SAT reduction is the canonical ternary example).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -152,24 +152,25 @@ def _kary_edges(
     dc: DenialConstraint,
     rows: np.ndarray,
 ) -> List[Tuple[int, ...]]:
-    """Pruned combinatorial scan for DCs of arity ≥ 3 (ascending tuples)."""
+    """Pruned combinatorial scan for DCs of arity ≥ 3: ascending tuples
+    of positions in ``rows``."""
     union: Set[int] = set()
     for var in range(dc.arity):
         mask = _unary_mask(relation, rows, dc.unary_atoms(var))
-        union.update(rows[mask].tolist())
-    union_rows = sorted(union)
-    row_cache = {r: relation.row(r) for r in union_rows}
+        union.update(np.flatnonzero(mask).tolist())
+    members = sorted(union)
+    records = {i: relation.row(int(rows[i])) for i in members}
     return [
         combo
-        for combo in itertools.combinations(union_rows, dc.arity)
-        if dc.violates([row_cache[r] for r in combo])
+        for combo in itertools.combinations(members, dc.arity)
+        if dc.violates([records[i] for i in combo])
     ]
 
 
 def build_conflict_graph(
     relation: Relation,
     dcs: Sequence[DenialConstraint],
-    rows: Iterable[int],
+    rows: Union[np.ndarray, Sequence[int]],
 ) -> ConflictHypergraph:
     """The conflict hypergraph of one partition (Definition 5.1).
 
@@ -177,7 +178,7 @@ def build_conflict_graph(
     vertex positions and deduplicated across DCs in one pass; DCs of
     arity ≥ 3 contribute hyperedges.
     """
-    rows = _sorted_unique(np.fromiter(rows, dtype=np.int64))
+    rows = _sorted_unique(np.asarray(rows, dtype=np.int64))
     n = len(rows)
     codes = [np.empty(0, dtype=np.int64)]
     hyperedges: Set[Tuple[int, ...]] = set()

@@ -8,6 +8,12 @@ fresh keys, which materialise as new tuples appended to ``R2̂`` (this is
 the second output of the paper's pipeline).  Invalid tuples — rows Phase I
 could not give B-values — are resolved last by ``solveInvalidTuples``.
 
+A color is a position in the edge's :class:`KeyTable` (R2's keys in row
+order, then the keys minted for the edge), and the coloring is one int64
+array over R1 rows, ``-1`` for uncolored.  A partition is an array of
+rows; a DC-free, uncapped one is colored by one scatter, and ``R1̂.FK``
+is one gather from the table — Phase II makes no Python object per row.
+
 :func:`run_phase2` runs Phase II for every strategy.  A strategy
 chooses only two things: the per-key cap of each combo partition (a
 :class:`~repro.phase2.coloring.KeyCap`, or none for the paper's plain
@@ -22,7 +28,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.dc import DenialConstraint
@@ -32,24 +40,23 @@ from repro.phase1.combos import ComboCatalog
 from repro.phase2.coloring import KeyCap, coloring_lf
 from repro.phase2.edges import build_conflict_graph
 from repro.phase2.invalid import solve_invalid_tuples
-from repro.relational.ordering import sort_key, tuple_sort_key
+from repro.relational.ordering import tuple_sort_key
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec
 from repro.relational.types import Dtype
 
 __all__ = [
+    "KeyTable",
     "Phase2Stats",
     "Phase2Result",
     "run_phase2",
-    "FreshKeyFactory",
-    "MintPool",
     "partition_by_combo",
 ]
 
 
 def partition_by_combo(
     assignment: ViewAssignment, r1: Relation
-) -> Dict[tuple, List[int]]:
+) -> Dict[tuple, np.ndarray]:
     """The Section-5.2 combo partitioning, chunk-aware.
 
     Every Phase-II strategy partitions the completed view the same way;
@@ -62,67 +69,73 @@ def partition_by_combo(
     )
 
 
-class FreshKeyFactory:
-    """Mints primary-key values that do not collide with existing ones:
-    integers for an INT key column, ``synthetic_<n>`` for a STR one."""
+class KeyTable:
+    """One edge's colors: R2's keys in row order, then minted keys.
 
-    def __init__(self, existing: Sequence[object], dtype: Dtype) -> None:
-        self._existing: Set[object] = set(existing)
-        self._numeric = dtype is Dtype.INT
-        self._next_int = 1
-        if self._numeric and self._existing:
-            self._next_int = int(max(self._existing)) + 1
-
-    def mint(self) -> object:
-        if self._numeric:
-            while self._next_int in self._existing:
-                self._next_int += 1
-            key = int(self._next_int)
-            self._next_int += 1
-        else:
-            n = len(self._existing)
-            key = f"synthetic_{n}"
-            while key in self._existing:
-                n += 1
-                key = f"synthetic_{n}"
-        self._existing.add(key)
-        return key
-
-
-class MintPool:
-    """Hands out fresh keys, reusing mints an earlier pass never claimed.
-
-    A fresh-color pass mints one key per skipped vertex, but skipped
-    vertices that are mutually non-conflicting share the first fresh key
-    and the rest go unclaimed.  Discarding them leaks gaps into the R2̂
-    key sequence (the factory never re-mints a key it handed out); the
-    pool takes them back and serves them before minting anew, so the keys
-    that materialise in R2̂ stay dense.
+    A color is a position in this table.  Minted keys never collide with
+    taken ones: an INT key column counts up past its largest key, a STR
+    one takes the first free ``synthetic_<n>`` from ``n`` = keys so far.
+    A fresh-color pass takes one color per skipped vertex, but skipped
+    vertices that do not conflict share the first; :meth:`release` takes
+    the rest back and :meth:`take` serves them before minting anew, so
+    the keys that materialise in ``R2̂`` stay dense.  :meth:`claim`
+    materialises a minted color as a new R2 row of a combo.
     """
 
-    def __init__(self, factory: FreshKeyFactory) -> None:
-        self._factory = factory
-        self._unclaimed: List[object] = []
+    def __init__(self, keys: np.ndarray, dtype: Dtype) -> None:
+        self._r2 = keys
+        self._numeric = dtype is Dtype.INT
+        self._minted: List[object] = []
+        self._unclaimed: List[int] = []
+        self._next_int = 1
+        if self._numeric and keys.size:
+            self._next_int = int(keys.max()) + 1
+        self._taken: Optional[Set[object]] = None
+        #: ``(color, combo)`` of every claimed mint, in claim order.
+        self.claimed: List[Tuple[int, tuple]] = []
 
-    def take(self, count: int) -> List[object]:
-        """``count`` candidate keys: pooled leftovers first, then mints."""
+    def key(self, color: int) -> object:
+        """The key value of ``color``."""
+        n = len(self._r2)
+        return self._r2.item(color) if color < n else self._minted[color - n]
+
+    def keys(self) -> np.ndarray:
+        """Every key, indexed by color."""
+        if not self._minted:
+            return self._r2
+        minted = np.asarray(self._minted, dtype=self._r2.dtype)
+        return np.concatenate([self._r2, minted])
+
+    def take(self, count: int) -> List[int]:
+        """``count`` colors: released ones first, then fresh mints."""
         out = self._unclaimed[:count]
         del self._unclaimed[:count]
         while len(out) < count:
-            out.append(self._factory.mint())
+            out.append(self._mint())
         return out
 
-    def mint(self) -> object:
-        """One key, drained from the pool before minting anew.
+    def release(self, colors: Sequence[int]) -> None:
+        """Return unclaimed colors for a later :meth:`take`."""
+        self._unclaimed.extend(colors)
 
-        Drop-in for :meth:`FreshKeyFactory.mint` so the invalid-tuple
-        fallbacks also reuse unclaimed fresh-color mints.
-        """
-        return self.take(1)[0]
+    def claim(self, color: int, combo: tuple) -> None:
+        """Materialise minted ``color`` as a new R2 row carrying ``combo``."""
+        self.claimed.append((color, combo))
 
-    def release(self, keys: Sequence[object]) -> None:
-        """Return unclaimed keys for the next pass to reuse."""
-        self._unclaimed.extend(keys)
+    def _mint(self) -> int:
+        if self._numeric:
+            key: object = self._next_int
+            self._next_int += 1
+        else:
+            if self._taken is None:
+                self._taken = set(self._r2.tolist())
+            n = len(self._taken)
+            while f"synthetic_{n}" in self._taken:
+                n += 1
+            key = f"synthetic_{n}"
+            self._taken.add(key)
+        self._minted.append(key)
+        return len(self._r2) + len(self._minted) - 1
 
 
 @dataclass
@@ -150,7 +163,6 @@ class Phase2Stats:
 class Phase2Result:
     r1_hat: Relation
     r2_hat: Relation
-    coloring: Dict[int, object]
     stats: Phase2Stats
     #: Per-key capacity overflow (``key -> rows beyond the cap``) a soft
     #: cap accepted; empty when caps were hard or absent.
@@ -165,7 +177,6 @@ def run_phase2(
     catalog: ComboCatalog,
     fk_column: str,
     ccs: Sequence[CardinalityConstraint] = (),
-    partitioned: bool = True,
     cap_of: Optional[Callable[[tuple], Optional[KeyCap]]] = None,
 ) -> Phase2Result:
     """Complete ``R1.FK`` so every DC holds; possibly grow ``R2``.
@@ -174,118 +185,75 @@ def run_phase2(
     uncapped).  When it is set, invalid tuples take the fresh-key escape
     hatch (one fresh key each, on a CC-safe combo) so no cap is breached,
     and the overflow a soft cap accepted is recorded per key.
-
-    ``partitioned=False`` builds a single global conflict graph with
-    per-vertex candidate lists (the ablation of the Section 5.2
-    optimization) — correct but quadratic in ``|R1|``; caps need the
-    partitions, so it rejects ``cap_of``.
     """
-    if cap_of is not None and not partitioned:
-        raise ValueError("per-key caps need the combo partitions")
     stats = Phase2Stats()
     key_column = r2.schema.key
     key_dtype = r2.schema.dtype(key_column)
-    pool = MintPool(FreshKeyFactory(list(r2.column(key_column)), key_dtype))
-    new_r2_rows: List[tuple] = []
-    coloring: Dict[int, object] = {}
+    r2_keys = r2.column(key_column)
+    table = KeyTable(r2_keys, key_dtype)
+    color = np.full(assignment.n, -1, dtype=np.int64)
     overflow: Dict[object, int] = {}
 
-    keys_by_combo: Dict[tuple, List[object]] = {
-        combo: list(keys) for combo, keys in catalog.keys_by_combo.items()
-    }
-
-    def record_new_key(key: object, combo: tuple) -> None:
-        """Materialise a fresh key as a new R2 row carrying the combo's
-        B-values and extend the combo's candidate list."""
-        values = catalog.as_dict(combo)
-        new_r2_rows.append(
-            tuple(
-                key if name == key_column else values[name]
-                for name in r2.schema.names
-            )
-        )
-        keys_by_combo.setdefault(combo, []).append(key)
-        stats.num_new_r2_tuples += 1
-
-    def candidates_of(combo: tuple) -> List[object]:
-        keys = sorted(keys_by_combo.get(combo, []), key=sort_key)
-        if not keys:
+    def candidates_of(combo: tuple) -> List[int]:
+        """The combo's R2 rows (= colors), ordered by key value."""
+        rows = catalog.rows_by_combo.get(combo)
+        if rows is None:
             raise ColoringError(
                 f"no candidate keys for combo {combo!r}; Phase I "
                 "assigned a combination absent from R2"
             )
-        return keys
+        return rows[np.argsort(r2_keys[rows], kind="stable")].tolist()
 
     # Partition the completed rows by their full B-combo — one
     # lexsort-and-split over the assignment's code matrix (chunked when
-    # R1 itself is).
-    partitions: Dict[tuple, List[int]] = partition_by_combo(assignment, r1)
-    combos = sorted(partitions, key=tuple_sort_key)
-    combo_of: Dict[int, tuple] = {}
-    if partitioned:
-        jobs = [
-            (partitions[combo], combo, candidates_of(combo), None)
-            for combo in combos
-        ]
-    else:
-        # The ablation: one job (combo ``None``) over every row, each row
-        # keeping its own combo's candidate list; ``combo_of`` tells
-        # which combo a fresh key a row took belongs to.
-        combo_of = {row: c for c in combos for row in partitions[c]}
-        keys_of = {c: candidates_of(c) for c in combos}
-        lists = {row: keys_of[c] for row, c in combo_of.items()}
-        jobs = [(sorted(combo_of), None, [], lists)]
-
-    for rows, combo, candidates, lists in jobs:
+    # R1 itself is).  The combo order fixes which minted key goes where.
+    partitions = partition_by_combo(assignment, r1)
+    for combo in sorted(partitions, key=tuple_sort_key):
+        rows = partitions[combo]
+        candidates = candidates_of(combo)
         cap = cap_of(combo) if cap_of is not None else None
-        if not dcs and cap is None and lists is None:
+        stats.num_partitions += 1
+        if not dcs and cap is None:
             # No DCs ⇒ the conflict graph is empty and largest-first
-            # visits the rows ascending, giving every one the first
-            # candidate — same content and insertion order as the
-            # coloring pass, without building the graph.
+            # gives every row the first candidate.
             started = time.perf_counter()
-            coloring.update(dict.fromkeys(rows, candidates[0]))
-            stats.num_partitions += 1
+            color[rows] = candidates[0]
             stats.coloring_seconds += time.perf_counter() - started
             continue
         started = time.perf_counter()
         graph = build_conflict_graph(r1, dcs, rows)
         stats.edge_seconds += time.perf_counter() - started
         stats.num_edges += graph.num_edges
-        stats.num_partitions += 1
 
         started = time.perf_counter()
-        usage: Dict[object, int] = {}
-        part, skipped = coloring_lf(graph, {}, candidates, lists, cap, usage)
+        part = np.full(len(rows), -1, dtype=np.int64)
+        usage: Dict[int, int] = {}
+        skipped = coloring_lf(graph, part, candidates, cap, usage)
         stats.num_skipped += len(skipped)
-        # Algorithm 4's retry: skipped rows try fresh keys (the ablation
-        # gives each row its own); keys a pass used become new R2 rows
-        # under the combo of a row that took them, the rest go back to
-        # the pool.
+        # Algorithm 4's retry: skipped rows try fresh colors; the ones a
+        # pass used become new R2 rows of this combo, the rest go back.
         guard = 0
         while skipped:
             guard += 1
             if guard > len(rows) + 1:
                 raise ColoringError("fresh-color loop failed to make progress")
-            fresh = pool.take(len(skipped))
-            if lists is not None:
-                lists = {row: [key] for row, key in zip(skipped, fresh)}
+            fresh = table.take(len(skipped))
             retried = skipped
-            part, skipped = coloring_lf(graph, part, fresh, lists, cap, usage)
-            taker = {part[row]: row for row in retried if row in part}
-            for key in fresh:
-                if key in taker:
-                    record_new_key(key, combo_of.get(taker[key], combo))
-            pool.release([key for key in fresh if key not in taker])
+            skipped = coloring_lf(graph, part, fresh, cap, usage)
+            taken = set(part[retried].tolist())
+            for c in fresh:
+                if c in taken:
+                    table.claim(c, combo)
+            table.release([c for c in fresh if c not in taken])
         stats.coloring_seconds += time.perf_counter() - started
-        coloring.update(part)
+        color[rows] = part
         if cap is not None:
-            # A key serves one partition only (candidates are disjoint
-            # across combos, fresh keys go to one pass), so its usage
+            # A color serves one partition only (candidates are disjoint
+            # across combos, fresh colors go to one pass), so its usage
             # here is its final count.
-            for key, count in usage.items():
+            for c, count in usage.items():
                 if count > cap.max_per_key:
-                    overflow[key] = count - cap.max_per_key
+                    overflow[table.key(c)] = count - cap.max_per_key
 
     # ------------------------------------------------------------------
     # Invalid tuples.
@@ -300,9 +268,9 @@ def run_phase2(
                 raise ColoringError("R2 has no value combinations at all")
             safe = catalog.unused_for_row(r1.row(row), list(ccs))
             combo = safe[0] if safe else catalog.combos[0]
-            key = pool.mint()
-            record_new_key(key, combo)
-            coloring[row] = key
+            (c,) = table.take(1)
+            table.claim(c, combo)
+            color[row] = c
             assignment.assign(row, catalog.as_dict(combo))
             assignment.invalid.discard(row)
             stats.num_invalid_handled += 1
@@ -313,27 +281,31 @@ def run_phase2(
             ccs=ccs,
             assignment=assignment,
             catalog=catalog,
-            coloring=coloring,
-            keys_by_combo=keys_by_combo,
-            factory=pool,
-            record_new_key=record_new_key,
+            color=color,
+            table=table,
         )
     stats.invalid_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Materialise R1̂ and R2̂.
     # ------------------------------------------------------------------
-    if len(coloring) < assignment.n:
-        missing = assignment.n - len(coloring)
+    missing = int(np.count_nonzero(color < 0))
+    if missing:
         raise ColoringError(f"{missing} rows ended up uncolored")
-    fk_values = [coloring[row] for row in range(assignment.n)]
-    r1_hat = r1.with_column(ColumnSpec(fk_column, key_dtype), fk_values)
-    r2_hat = r2.append_rows(new_r2_rows)
+    r1_hat = r1.with_column(
+        ColumnSpec(fk_column, key_dtype), table.keys()[color]
+    )
+    new_rows = []
+    for c, combo in table.claimed:
+        values = catalog.as_dict(combo)
+        values[key_column] = table.key(c)
+        new_rows.append(tuple(values[name] for name in r2.schema.names))
+    r2_hat = r2.append_rows(new_rows)
+    stats.num_new_r2_tuples = len(table.claimed)
     stats.total_overflow = sum(overflow.values())
     return Phase2Result(
         r1_hat=r1_hat,
         r2_hat=r2_hat,
-        coloring=coloring,
         stats=stats,
         overflow=overflow,
     )

@@ -5,11 +5,13 @@ would violate some DC if assigned the same FK value.  A *proper coloring*
 (no edge monochromatic) therefore yields a DC-satisfying FK assignment
 (Proposition 5.2 — tested in ``tests/phase2``).
 
-Binary edges (all of them for the usual two-tuple DCs) are stored as
-CSR adjacency over vertex positions; only DCs of arity ≥ 3 keep Python
-hyperedges.  :meth:`ConflictHypergraph.order` and
-:meth:`ConflictHypergraph.forbidden` are the two halves of Algorithm 3
-that every largest-first coloring shares.
+The graph works on vertex *positions* (indices into the ascending
+``vertices``): binary edges are CSR adjacency over positions, and only
+DCs of arity ≥ 3 keep Python hyperedges, as position tuples.  A coloring
+is one color id per position, ``-1`` for uncolored.
+:meth:`ConflictHypergraph.order` and :meth:`ConflictHypergraph.forbidden`
+are the two halves of Algorithm 3 that every largest-first coloring
+shares.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class ConflictHypergraph:
 
     ``vertices`` are ascending unique row ids; ``lo``/``hi`` list each
     binary edge once as vertex positions with ``lo < hi``; ``hyperedges``
-    are unique ascending row tuples of length ≥ 3.
+    are unique ascending position tuples of length ≥ 3.
     """
 
     def __init__(
@@ -46,19 +48,15 @@ class ConflictHypergraph:
         self.hyperedges = list(hyperedges)
         self._incident: Dict[int, List[Tuple[int, ...]]] = {}
         for edge in self.hyperedges:
-            for v in edge:
-                self._incident.setdefault(v, []).append(edge)
+            for i in edge:
+                self._incident.setdefault(i, []).append(edge)
         members = np.fromiter(
-            (v for edge in self.hyperedges for v in edge), dtype=np.int64
+            (i for edge in self.hyperedges for i in edge), dtype=np.int64
         )
-        self.degrees = counts + np.bincount(
-            np.searchsorted(vertices, members), minlength=n
-        )
+        self.degrees = counts + np.bincount(members, minlength=n)
         # Plain-Python views for the per-vertex coloring loop.
-        self._rows: List[int] = vertices.tolist()
-        self._position = dict(zip(self._rows, range(n)))
         self._indptr: List[int] = self.indptr.tolist()
-        self._neighbours: List[int] = vertices[self.indices].tolist()
+        self._neighbours: List[int] = self.indices.tolist()
 
     @property
     def num_vertices(self) -> int:
@@ -71,46 +69,48 @@ class ConflictHypergraph:
     @property
     def edges(self) -> List[Tuple[int, ...]]:
         """Every edge as an ascending row tuple: pairs, then hyperedges."""
-        src = np.repeat(self.vertices, np.diff(self.indptr))
-        dst = self.vertices[self.indices]
+        rows = self.vertices
+        src = np.repeat(rows, np.diff(self.indptr))
+        dst = rows[self.indices]
         keep = src < dst
-        pairs = zip(src[keep].tolist(), dst[keep].tolist())
-        return list(pairs) + self.hyperedges
+        pairs = list(zip(src[keep].tolist(), dst[keep].tolist()))
+        return pairs + [tuple(rows[list(e)].tolist()) for e in self.hyperedges]
 
     def degree(self, v: int) -> int:
-        position = self._position.get(v)
-        return 0 if position is None else int(self.degrees[position])
+        """The degree of row ``v`` (0 when it is no vertex)."""
+        i = int(np.searchsorted(self.vertices, v))
+        if i < len(self.vertices) and self.vertices[i] == v:
+            return int(self.degrees[i])
+        return 0
 
-    def order(self, coloring: Dict[int, object]) -> List[int]:
-        """Algorithm 3's visit order: the uncolored vertices by
-        non-increasing degree, ties by ascending row id."""
-        rows, degrees = self.vertices, self.degrees
-        if coloring:
-            keep = np.fromiter(
-                (v not in coloring for v in self._rows),
-                dtype=bool,
-                count=len(self._rows),
-            )
-            rows, degrees = rows[keep], degrees[keep]
-        return rows[np.lexsort((rows, -degrees))].tolist()
+    def order(self, color: np.ndarray) -> List[int]:
+        """Algorithm 3's visit order: the uncolored positions by
+        non-increasing degree, ties by ascending position (= row id)."""
+        uncolored = np.flatnonzero(np.asarray(color) < 0)
+        degrees = self.degrees[uncolored]
+        return uncolored[np.lexsort((uncolored, -degrees))].tolist()
 
-    def forbidden(self, v: int, coloring: Dict[int, object]) -> Set[object]:
-        """The colors ``v`` may not take: any neighbour's color, and a
-        hyperedge's color when all its other members share it."""
-        i = self._position[v]
+    def forbidden(self, i: int, color: Sequence[int]) -> Set[int]:
+        """The colors position ``i`` may not take: any neighbour's color,
+        and a hyperedge's color when all its other members share it."""
         lo, hi = self._indptr[i], self._indptr[i + 1]
-        out = set(map(coloring.get, self._neighbours[lo:hi]))
-        for edge in self._incident.get(v, ()):
-            colors = {coloring.get(u) for u in edge if u != v}
+        out = set(map(color.__getitem__, self._neighbours[lo:hi]))
+        for edge in self._incident.get(i, ()):
+            colors = {color[u] for u in edge if u != i}
             if len(colors) == 1:
                 out |= colors
-        out.discard(None)
+        out.discard(-1)
         return out
 
-    def is_proper(self, coloring: Dict[int, object]) -> bool:
+    def is_proper(self, color: np.ndarray) -> bool:
         """No edge has all members the same color (uncolored ≠ colored)."""
-        for edge in self.edges:
-            colors = {coloring.get(v) for v in edge}
-            if len(colors) == 1 and None not in colors:
+        color = np.asarray(color)
+        src = np.repeat(np.arange(len(self.vertices)), np.diff(self.indptr))
+        same = color[src] == color[self.indices]
+        if (same & (color[src] >= 0)).any():
+            return False
+        for edge in self.hyperedges:
+            colors = set(color[list(edge)].tolist())
+            if len(colors) == 1 and -1 not in colors:
                 return False
         return True

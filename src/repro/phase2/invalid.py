@@ -2,15 +2,16 @@
 
 Invalid tuples are view rows Phase I could not give B-values without
 perturbing some CC.  They are colored last, against the *full* key list of
-``R2̂``, with conflict edges restricted to those incident to an invalid
-vertex.  A row that still cannot be colored gets the B-combination that
-minimises the marginal CC error plus a fresh key (inserting a tuple into
-``R2̂``).
+``R2̂`` (every materialised color of the edge's key table, by key value),
+with conflict edges restricted to those incident to an invalid vertex.
+A row that still cannot be colored gets the B-combination that minimises
+the marginal CC error plus a fresh key (inserting a tuple into ``R2̂``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Set
+import bisect
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Set
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from repro.constraints.dc import DenialConstraint
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
 from repro.phase2.edges import conflicting_pairs
-from repro.relational.ordering import sort_key
 from repro.relational.relation import Relation
+
+if TYPE_CHECKING:  # fk_assignment imports this module
+    from repro.phase2.fk_assignment import KeyTable
 
 __all__ = ["solve_invalid_tuples"]
 
@@ -81,21 +84,25 @@ def solve_invalid_tuples(
     ccs: Sequence[CardinalityConstraint],
     assignment: ViewAssignment,
     catalog: ComboCatalog,
-    coloring: Dict[int, object],
-    keys_by_combo: Dict[tuple, List[object]],
-    factory,
-    record_new_key: Callable[[object, tuple], None],
+    color: np.ndarray,
+    table: "KeyTable",
 ) -> int:
-    """Color every invalid row; returns how many were handled."""
+    """Color every invalid row in ``color``; returns how many were handled."""
     invalid_rows = sorted(assignment.invalid)
     if not invalid_rows:
         return 0
     all_rows = np.arange(assignment.n, dtype=np.int64)
     conflicts = _conflict_lists(r1, dcs, invalid_rows, all_rows)
 
-    combo_of_key = {
-        key: combo for combo, keys in keys_by_combo.items() for key in keys
+    # Every materialised color (R2's rows, then the claimed mints) with
+    # its combo, and the colors ranked by key value.
+    combo_of = {
+        c: combo
+        for combo, rows in catalog.rows_by_combo.items()
+        for c in rows.tolist()
     }
+    combo_of.update(table.claimed)
+    ranked = sorted(combo_of, key=table.key)
 
     # Current CC counts over the completed rows (invalid rows excluded) so
     # fallback combos can chase under-target CCs first.  One mask pass per
@@ -115,23 +122,19 @@ def solve_invalid_tuples(
     handled = 0
     # Highest-conflict rows first (mirrors the largest-first heuristic).
     for row in sorted(invalid_rows, key=lambda r: (-len(conflicts[r]), r)):
-        forbidden = {
-            coloring[u] for u in conflicts[row] if u in coloring
-        }
-        chosen_key = None
-        for key in sorted(combo_of_key.keys(), key=sort_key):
-            if key not in forbidden:
-                chosen_key = key
-                break
+        near = np.fromiter(conflicts[row], np.int64, len(conflicts[row]))
+        forbidden = set(color[near].tolist())
+        chosen = next((c for c in ranked if c not in forbidden), None)
         row_values = r1.row(row)
-        if chosen_key is not None:
-            combo = combo_of_key[chosen_key]
+        if chosen is not None:
+            combo = combo_of[chosen]
         else:
             combo = _min_error_combo(row_values, catalog, ccs, counts)
-            chosen_key = factory.mint()
-            record_new_key(chosen_key, combo)
-            combo_of_key[chosen_key] = combo
-        coloring[row] = chosen_key
+            (chosen,) = table.take(1)
+            table.claim(chosen, combo)
+            combo_of[chosen] = combo
+            bisect.insort(ranked, chosen, key=table.key)
+        color[row] = chosen
         assignment.assign(row, catalog.as_dict(combo))
         assignment.invalid.discard(row)
         if ccs:

@@ -215,7 +215,7 @@ def phase2_strategy(name: str) -> Callable[..., Phase2Result]:
     """The Phase-II runner of strategy ``name``::
 
         run(r1, r2, dcs, assignment, catalog, fk_column,
-            *, ccs=(), options=None, partitioned=True) -> Phase2Result
+            *, ccs=(), options=None) -> Phase2Result
     """
     _accepted_options(name)
     return functools.partial(_run, name)
@@ -232,13 +232,8 @@ def _run(
     *,
     ccs: Sequence[CardinalityConstraint] = (),
     options: Optional[Mapping[str, Any]] = None,
-    partitioned: bool = True,
 ) -> Phase2Result:
-    """Run Phase II with ``strategy``'s caps.
-
-    ``partitioned=False`` (the ablation of the Section 5.2 partitioning)
-    applies to ``coloring`` only: every other strategy partitions.
-    """
+    """Run Phase II with ``strategy``'s caps."""
     quotas, default = key_caps(strategy, options or {})
     # A typo'd match attribute would silently match nothing and disable
     # the quota — fail loudly against R2's actual combo attributes.
@@ -262,6 +257,5 @@ def _run(
         catalog,
         fk_column,
         ccs=ccs,
-        partitioned=partitioned or strategy != "coloring",
         cap_of=cap_of if quotas or default is not None else None,
     )

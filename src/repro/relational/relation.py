@@ -27,7 +27,6 @@ return relations with their declared types and without caches, and
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -102,18 +101,17 @@ def _hash_str_column(chunks: Iterable[np.ndarray]) -> bytes:
     lengths, data = hashlib.sha256(), hashlib.sha256()
     for chunk in chunks:
         for lo in range(0, len(chunk), _HASH_SLICE):
-            raw = list(
-                map(
-                    str.encode,
-                    chunk[lo : lo + _HASH_SLICE].tolist(),
-                    repeat("utf-8"),
-                    repeat("surrogatepass"),
-                )
-            )
+            values = chunk[lo : lo + _HASH_SLICE].tolist()
+            # UTF-8 encodes code point by code point, so the joined text
+            # encodes to the joined bytes; only non-ASCII values need
+            # their own encoding for their byte lengths.
+            text = "".join(values)
+            if not text.isascii():
+                values = [v.encode("utf-8", "surrogatepass") for v in values]
             lengths.update(
-                np.fromiter(map(len, raw), dtype="<i8", count=len(raw))
+                np.fromiter(map(len, values), dtype="<i8", count=len(values))
             )
-            data.update(b"".join(raw))
+            data.update(text.encode("utf-8", "surrogatepass"))
     return lengths.digest() + data.digest()
 
 
@@ -133,8 +131,9 @@ def group_codes(
     Each block is lexsorted and split into runs of equal codes.  One
     stable lexsort of the run signatures then merges the runs of every
     block, so equal runs keep their block order and rows stay
-    ascending.  An in-RAM table is one block; the result equals one
-    global stable lexsort either way.
+    ascending; each block's runs are scattered into their merged places
+    in one preallocated ``order``.  An in-RAM table is one block; the
+    result equals one global stable lexsort either way.
     """
     sig_parts, length_parts, row_parts = [], [], []
     for rows, codes in blocks:
@@ -148,22 +147,24 @@ def group_codes(
         row_parts.append(rows[order])
     if len(row_parts) == 1:  # one block has nothing to merge
         return sig_parts[0], row_parts[0], starts
-    rows = np.concatenate(row_parts)
     signatures = np.concatenate(sig_parts, axis=1)
     lengths = np.concatenate(length_parts)
-    sources = np.cumsum(lengths) - lengths
     runs = np.lexsort(signatures[::-1])
-    signatures, sources, lengths = (
-        signatures[:, runs],
-        sources[runs],
-        lengths[runs],
-    )
-    # Move every run from where its block put it to its merged place.
-    targets = np.cumsum(lengths) - lengths
-    order = rows[np.repeat(sources - targets, lengths) + np.arange(len(rows))]
+    merged = np.cumsum(lengths[runs]) - lengths[runs]
+    # Where each run lands in the merged order, indexed by run.
+    targets = np.empty_like(lengths)
+    targets[runs] = merged
+    order = np.empty(int(lengths.sum()), dtype=row_parts[0].dtype)
+    first_run = 0
+    for rows, sizes in zip(row_parts, length_parts):
+        stop = first_run + len(sizes)
+        shift = targets[first_run:stop] - (np.cumsum(sizes) - sizes)
+        order[np.repeat(shift, sizes) + np.arange(len(rows))] = rows
+        first_run = stop
+    signatures = signatures[:, runs]
     change = (signatures[:, 1:] != signatures[:, :-1]).any(axis=0)
     first = np.flatnonzero(np.concatenate(([True], change)))
-    return signatures[:, first], order, targets[first]
+    return signatures[:, first], order, merged[first]
 
 
 #: ``(uniques, slice_fn)`` — the global sorted uniques of a column

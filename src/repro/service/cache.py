@@ -13,9 +13,15 @@ a cold solve.
 Persistence doubles as the job server's crash-safe checkpoint: every
 completed edge is written to ``directory/<fingerprint>/`` (the
 :class:`~repro.relational.store.MmapColumnStore` spill format for the
-arrays, ``meta.json`` for schemas and the report) via a temp directory
-plus one atomic rename, so a traversal killed mid-run resumes by simply
-re-running — solved edges hit, the rest re-solve.
+arrays, ``meta.json`` for schemas, the report and each cached relation's
+row count and :meth:`~repro.relational.relation.Relation.content_hash`)
+via a temp directory plus one atomic rename, in MOD's minimal durable
+order: fsync the files, then the temp directory, rename, fsync the
+cache directory.  A traversal killed mid-run resumes by simply
+re-running — solved edges hit, the rest re-solve.  An entry that fails
+to parse, lacks a file, or whose relations do not match their recorded
+length and digest is a miss, and the next :meth:`EdgeCache.put`
+replaces it: damaged state is never spliced.
 """
 
 from __future__ import annotations
@@ -26,11 +32,11 @@ import shutil
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
 from repro.relational.store import (
@@ -45,9 +51,14 @@ __all__ = ["CachedEdge", "EdgeCache"]
 #: Bump when the on-disk entry layout changes; entries written by an
 #: older layout are ignored (a miss), never misread, and the next
 #: :meth:`EdgeCache.put` of their fingerprint replaces them.  Version 2
-#: dropped the per-edge report's ``executor`` field.
-_ENTRY_VERSION = 2
+#: dropped the per-edge report's ``executor`` field; version 3 records
+#: each cached relation's row count and content hash.
+_ENTRY_VERSION = 3
 _META = "meta.json"
+
+#: What reading a damaged entry can raise: a missing or truncated file,
+#: unparseable JSON, a missing field, an out-of-range dictionary code.
+_DAMAGE = (OSError, ValueError, LookupError, TypeError, ReproError)
 
 
 @dataclass
@@ -66,6 +77,39 @@ def _load_column(store: MmapColumnStore, spec: ColumnSpec) -> np.ndarray:
     if (column.dtype == object) != (spec.dtype is Dtype.STR):
         raise SchemaError(f"cached column {spec.name!r} is mistyped")
     return column
+
+
+def _load_relation(
+    directory: Path, columns: List[ColumnSpec], key: Optional[str]
+) -> Relation:
+    store = MmapColumnStore(directory)
+    return Relation(
+        Schema(tuple(columns), key=key),
+        NumpyColumnStore(
+            {spec.name: _load_column(store, spec) for spec in columns}
+        ),
+    )
+
+
+def _digest(relation: Relation) -> Dict[str, object]:
+    return {"rows": len(relation), "hash": relation.content_hash()}
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _fsync_tree(root: Path) -> None:
+    """fsync every file under ``root``, then each directory, deepest
+    first, ``root`` last."""
+    for directory, _, files in os.walk(root, topdown=False):
+        for name in files:
+            _fsync(Path(directory) / name)
+        _fsync(Path(directory))
 
 
 class EdgeCache:
@@ -164,11 +208,8 @@ class EdgeCache:
         self, fingerprint: str, entry: CachedEdge, counter: int
     ) -> None:
         final = self.directory / fingerprint
-        meta_path = final / _META
-        if meta_path.is_file():
-            existing = json.loads(meta_path.read_text())
-            if existing.get("version") == _ENTRY_VERSION:
-                return
+        if self._load(final) is not None:
+            return  # an intact entry of this layout is already there
         suffix = f"{fingerprint[:16]}-{os.getpid()}-{counter}"
         tmp = self.directory / f".tmp-{suffix}"
         if tmp.exists():
@@ -185,6 +226,7 @@ class EdgeCache:
                 "fk": {
                     "name": entry.fk_spec.name,
                     "dtype": entry.fk_spec.dtype.value,
+                    **_digest(fk_relation),
                 },
                 "parent": {
                     "columns": [
@@ -192,12 +234,15 @@ class EdgeCache:
                         for spec in entry.parent.schema
                     ],
                     "key": entry.parent.schema.key,
+                    **_digest(entry.parent),
                 },
                 "report": entry.report,
             }
             (tmp / _META).write_text(json.dumps(meta))
-            # An entry of an older layout version is moved aside, so
-            # the rename below can take its place, and deleted after.
+            _fsync_tree(tmp)
+            # A damaged entry, or one of an older layout version, is
+            # moved aside, so the rename below can take its place, and
+            # deleted after.
             stale = self.directory / f".stale-{suffix}"
             try:
                 final.rename(stale)
@@ -208,39 +253,44 @@ class EdgeCache:
             except OSError:
                 # Lost a write race: an equivalent entry landed first.
                 shutil.rmtree(tmp, ignore_errors=True)
+            _fsync(self.directory)
             shutil.rmtree(stale, ignore_errors=True)
         except Exception:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
 
     def _load(self, directory: Path) -> Optional[CachedEdge]:
-        meta_path = directory / _META
-        if not meta_path.is_file():
+        """The entry in ``directory``, or ``None`` when it is missing,
+        of another layout version, or damaged."""
+        try:
+            meta = json.loads((directory / _META).read_text())
+            if meta.get("version") != _ENTRY_VERSION:
+                return None
+            fk_meta, parent_meta = meta["fk"], meta["parent"]
+            fk_spec = ColumnSpec(fk_meta["name"], Dtype(fk_meta["dtype"]))
+            fk_relation = _load_relation(directory / "fk", [fk_spec], None)
+            parent = _load_relation(
+                directory / "parent",
+                [
+                    ColumnSpec(item["name"], Dtype(item["dtype"]))
+                    for item in parent_meta["columns"]
+                ],
+                parent_meta["key"],
+            )
+            for relation, recorded in (
+                (fk_relation, fk_meta),
+                (parent, parent_meta),
+            ):
+                if _digest(relation) != {
+                    "rows": recorded["rows"],
+                    "hash": recorded["hash"],
+                }:
+                    return None
+            return CachedEdge(
+                fk_spec=fk_spec,
+                fk_values=fk_relation.column(fk_spec.name),
+                parent=parent,
+                report=dict(meta.get("report", {})),
+            )
+        except _DAMAGE:
             return None
-        meta = json.loads(meta_path.read_text())
-        if meta.get("version") != _ENTRY_VERSION:
-            return None
-        fk_spec = ColumnSpec(meta["fk"]["name"], Dtype(meta["fk"]["dtype"]))
-        fk_store = MmapColumnStore(directory / "fk")
-        fk_values = _load_column(fk_store, fk_spec)
-        columns = [
-            ColumnSpec(item["name"], Dtype(item["dtype"]))
-            for item in meta["parent"]["columns"]
-        ]
-        schema = Schema(tuple(columns), key=meta["parent"]["key"])
-        parent_store = MmapColumnStore(directory / "parent")
-        parent = Relation(
-            schema,
-            NumpyColumnStore(
-                {
-                    spec.name: _load_column(parent_store, spec)
-                    for spec in columns
-                }
-            ),
-        )
-        return CachedEdge(
-            fk_spec=fk_spec,
-            fk_values=fk_values,
-            parent=parent,
-            report=dict(meta.get("report", {})),
-        )

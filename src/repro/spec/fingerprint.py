@@ -52,7 +52,6 @@ RESULT_OPTION_FIELDS = (
     "marginals",
     "soft_ccs",
     "force_ilp",
-    "partitioned_coloring",
     "time_limit",
     "mip_gap",
 )
@@ -76,8 +75,9 @@ NON_RESULT_OPTION_FIELDS = (
 #: entries keyed by an older scheme must miss, not collide.  Version 3:
 #: :meth:`Relation.content_hash` hashes string columns as two streams.
 #: Version 4: an edge's Phase-II settings enter as the resolved
-#: ``(strategy, options)`` pair, not as written.
-_FINGERPRINT_VERSION = 4
+#: ``(strategy, options)`` pair, not as written.  Version 5:
+#: ``partitioned_coloring`` left the result-affecting options.
+_FINGERPRINT_VERSION = 5
 
 
 def _canonical(value: object) -> object:

@@ -3,11 +3,13 @@ and conflict graphs with hand-picked edges."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Relation, parse_cc, parse_dc
 from repro.constraints.dc import DenialConstraint, UnaryAtom
 from repro.datagen import CensusConfig, all_dcs, cc_family, generate_census
+from repro.phase2.coloring import coloring_lf
 from repro.phase2.edges import build_conflict_graph
 
 
@@ -118,3 +120,59 @@ def graph_from_edges():
     """``graph_from_edges(edges, vertices=())`` — see
     :func:`_graph_from_edges`."""
     return _graph_from_edges
+
+
+def _color_rows(graph, coloring, candidates, cap=None, usage=None):
+    """:func:`coloring_lf` over a ``{row: color}`` dict of any hashable
+    colors: returns ``(coloring, skipped rows)`` and updates ``usage``
+    (``{color: rows}``) in place.
+
+    The colors are numbered in first-seen order (candidates, then the
+    pre-coloring and ``usage``), so the production loop sees the same
+    candidate order on int colors and vertex positions.
+    """
+    palette = list(
+        dict.fromkeys([*candidates, *coloring.values(), *(usage or {})])
+    )
+    index = {c: i for i, c in enumerate(palette)}
+    rows = graph.vertices.tolist()
+    color = np.asarray(
+        [index[coloring[r]] if r in coloring else -1 for r in rows],
+        dtype=np.int64,
+    )
+    counts = None if usage is None else {index[c]: n for c, n in usage.items()}
+    skipped = coloring_lf(
+        graph, color, [index[c] for c in candidates], cap, counts
+    )
+    if usage is not None:
+        usage.clear()
+        usage.update((palette[i], n) for i, n in counts.items())
+    out = dict(coloring)
+    out.update((r, palette[c]) for r, c in zip(rows, color.tolist()) if c >= 0)
+    return out, [rows[i] for i in skipped]
+
+
+@pytest.fixture(scope="session")
+def color_rows():
+    """``color_rows(graph, coloring, candidates, cap=None, usage=None)``
+    — see :func:`_color_rows`."""
+    return _color_rows
+
+
+def _positions_of(graph, coloring):
+    """A ``{row: color}`` dict as ``graph``'s per-position int colors
+    (numbered in first-seen order; ``-1`` where a row is uncolored)."""
+    index = {c: i for i, c in enumerate(dict.fromkeys(coloring.values()))}
+    return np.asarray(
+        [
+            index[coloring[r]] if r in coloring else -1
+            for r in graph.vertices.tolist()
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.fixture(scope="session")
+def positions_of():
+    """``positions_of(graph, coloring)`` — see :func:`_positions_of`."""
+    return _positions_of

@@ -199,6 +199,43 @@ class TestPipelineCommands:
         assert "chunk_rows must be an int" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "options, solver, message",
+        [
+            ("partitioned_coloring = false", "", "unknown solver options"),
+            ("time_limit = nan", "", "time_limit must be positive"),
+            ("", "solver = { time_limit = nan }", "time_limit must be"),
+        ],
+        ids=["retired-partitioned-coloring", "nan-limit", "nan-edge-limit"],
+    )
+    def test_rejected_option_exits_2(
+        self, tmp_path, capsys, options, solver, message
+    ):
+        spec = tmp_path / "bad.toml"
+        spec.write_text(
+            f"[options]\n{options}\n"
+            "[[relations]]\n"
+            'name = "r1"\n'
+            'key = "pid"\n'
+            "columns = { pid = [1, 2], Age = [3, 4] }\n"
+            "[[relations]]\n"
+            'name = "r2"\n'
+            'key = "hid"\n'
+            'columns = { hid = [1], Area = ["X"] }\n'
+            "[[edges]]\n"
+            'child = "r1"\n'
+            'column = "hid"\n'
+            'parent = "r2"\n'
+            f"{solver}\n"
+        )
+        code = main(["solve", "--spec", str(spec),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvInference:
     def test_read_csv_infer(self, tmp_path):

@@ -67,7 +67,6 @@ class TestConfig:
         [
             ("soft_ccs", "false"),
             ("force_ilp", 1),
-            ("partitioned_coloring", None),
             ("evaluate", "no"),
             ("workers", 2.5),
             ("workers", True),
@@ -82,6 +81,10 @@ class TestConfig:
     def test_mistyped_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SolverConfig(**{field: value})
+
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError, match="^time_limit must be positive"):
+            SolverConfig(time_limit=float("nan"))
 
     def test_chunk_rows_below_one_rejected(self):
         with pytest.raises(ValueError, match="chunk_rows must be >= 1"):

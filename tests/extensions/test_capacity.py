@@ -7,41 +7,47 @@ from repro.core.metrics import dc_error
 from repro.core.synthesizer import CExtensionSolver
 from repro.errors import ReproError
 from repro.extensions.capacity import fk_usage_histogram
-from repro.phase2.coloring import KeyCap, coloring_lf
+from repro.phase2.coloring import KeyCap
 from repro.relational.relation import Relation
 
 
-def _capped(graph, candidates, max_per_key, usage=None):
-    """One largest-first pass under a hard per-key cap."""
-    return coloring_lf(
-        graph, {}, candidates, cap=KeyCap(max_per_key), usage=usage
-    )
+@pytest.fixture
+def capped(color_rows):
+    """One largest-first pass under a hard per-key cap, by row id and
+    with string colors (the ``color_rows`` adapter)."""
+
+    def run(graph, candidates, max_per_key, usage=None):
+        return color_rows(
+            graph, {}, candidates, cap=KeyCap(max_per_key), usage=usage
+        )
+
+    return run
 
 
 class TestCapacityColoring:
-    def test_cap_forces_spread(self, graph_from_edges):
+    def test_cap_forces_spread(self, graph_from_edges, capped):
         graph = graph_from_edges([], vertices=range(4))
-        coloring, skipped = _capped(graph, ["a", "b"], 2)
+        coloring, skipped = capped(graph, ["a", "b"], 2)
         assert not skipped
         usage = {}
         for c in coloring.values():
             usage[c] = usage.get(c, 0) + 1
         assert all(v <= 2 for v in usage.values())
 
-    def test_cap_one_is_a_matching(self, graph_from_edges):
+    def test_cap_one_is_a_matching(self, graph_from_edges, capped):
         graph = graph_from_edges([], vertices=range(3))
-        coloring, skipped = _capped(graph, ["a", "b", "c"], 1)
+        coloring, skipped = capped(graph, ["a", "b", "c"], 1)
         assert not skipped
         assert len(set(coloring.values())) == 3
 
-    def test_skips_when_capacity_exhausted(self, graph_from_edges):
+    def test_skips_when_capacity_exhausted(self, graph_from_edges, capped):
         graph = graph_from_edges([], vertices=range(3))
-        coloring, skipped = _capped(graph, ["a"], 2)
+        coloring, skipped = capped(graph, ["a"], 2)
         assert len(skipped) == 1
 
-    def test_dc_forbidding_still_applies(self, graph_from_edges):
+    def test_dc_forbidding_still_applies(self, graph_from_edges, capped):
         graph = graph_from_edges([(0, 1)])
-        coloring, skipped = _capped(graph, ["a", "b"], 5)
+        coloring, skipped = capped(graph, ["a", "b"], 5)
         assert coloring[0] != coloring[1]
 
     def test_invalid_cap_rejected(self):
@@ -49,12 +55,12 @@ class TestCapacityColoring:
             with pytest.raises(ReproError, match="max_per_key"):
                 KeyCap(bad)
 
-    def test_shared_usage_across_calls(self, graph_from_edges):
+    def test_shared_usage_across_calls(self, graph_from_edges, capped):
         usage = {}
         g1 = graph_from_edges([], vertices=[0, 1])
-        _capped(g1, ["a"], 2, usage)
+        capped(g1, ["a"], 2, usage)
         g2 = graph_from_edges([], vertices=[2])
-        coloring, skipped = _capped(g2, ["a"], 2, usage)
+        coloring, skipped = capped(g2, ["a"], 2, usage)
         assert skipped == [2]  # "a" already full from the first call
 
 

@@ -148,11 +148,10 @@ class TestCrossCheckWithNetworkx:
         for edge in graph.edges:
             if len(edge) == 2:
                 nx_graph.add_edge(*edge)
-        coloring = phase2.coloring
         # Group rows by assigned key: each key's household must be an
         # independent set of the global conflict graph.
         by_key = {}
-        for v, key in coloring.items():
+        for v, key in enumerate(phase2.r1_hat.column("hid").tolist()):
             by_key.setdefault(key, []).append(v)
         for members in by_key.values():
             sub = nx_graph.subgraph(members)

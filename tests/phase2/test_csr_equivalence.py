@@ -3,10 +3,11 @@
 :mod:`conflict_reference` keeps the pre-CSR hypergraph and its three
 largest-first loops.  Random relations, DC sets (binary and ternary,
 ``in`` atoms, offsets, asymmetric roles), shuffled row sets,
-pre-colorings, candidate lists, caps and penalties must give the same
-edges and degrees and the same ``(coloring, skipped)`` from
-:func:`coloring_lf` — uncapped, with a hard :class:`KeyCap` and with a
-penalised one — as from the three reference loops.
+pre-colorings, caps and penalties must give the same edges and degrees
+and the same ``(coloring, skipped)`` from :func:`coloring_lf` (through
+the ``color_rows`` adapter, which colors by row id) — uncapped, with a
+hard :class:`KeyCap` and with a penalised one — as from the three
+reference loops.
 """
 
 import math
@@ -20,7 +21,7 @@ from conflict_reference import (
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints.dc import BinaryAtom, DenialConstraint, UnaryAtom
-from repro.phase2.coloring import KeyCap, coloring_lf
+from repro.phase2.coloring import KeyCap
 from repro.phase2.edges import build_conflict_graph
 from repro.relational.relation import Relation
 
@@ -104,7 +105,7 @@ def _candidates(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(instance=_instance(), data=st.data())
-def test_graph_and_colorings_match_reference(instance, data):
+def test_graph_and_colorings_match_reference(color_rows, instance, data):
     relation, dcs, rows = instance
     graph = build_conflict_graph(relation, dcs, rows)
     ref = reference_graph(relation, dcs, rows)
@@ -122,20 +123,16 @@ def test_graph_and_colorings_match_reference(instance, data):
 
     pre = _pre_coloring(data.draw, vertices)
     candidates = _candidates(data.draw)
-    lists = None
-    if data.draw(st.booleans()):
-        listed = data.draw(st.lists(st.sampled_from(vertices), unique=True))
-        lists = {v: _candidates(data.draw) for v in listed}
 
     def same(run_new, run_ref):
         new_coloring, new_skipped = run_new(dict(pre))
         ref_coloring, ref_skipped = run_ref(dict(pre))
-        assert list(new_coloring.items()) == list(ref_coloring.items())
+        assert new_coloring == ref_coloring
         assert new_skipped == ref_skipped
 
     same(
-        lambda col: coloring_lf(graph, col, candidates, lists),
-        lambda col: reference_coloring_lf(ref, col, candidates, lists),
+        lambda col: color_rows(graph, col, candidates),
+        lambda col: reference_coloring_lf(ref, col, candidates),
     )
 
     cap = data.draw(st.integers(1, 3))
@@ -151,7 +148,7 @@ def test_graph_and_colorings_match_reference(instance, data):
 
     new_usage, ref_usage = dict(usage), dict(usage)
     same(
-        lambda col: coloring_lf(
+        lambda col: color_rows(
             graph, col, candidates, cap=KeyCap(cap), usage=new_usage
         ),
         lambda col: reference_capacity_coloring(
@@ -165,7 +162,7 @@ def test_graph_and_colorings_match_reference(instance, data):
     soft = KeyCap(cap, penalty, new_tuple_cost)
     new_usage, ref_usage = dict(usage), dict(usage)
     same(
-        lambda col: coloring_lf(
+        lambda col: color_rows(
             graph, col, candidates, cap=soft, usage=new_usage
         ),
         lambda col: reference_soft_capacity_coloring(

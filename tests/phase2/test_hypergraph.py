@@ -1,4 +1,8 @@
-"""Conflict hypergraph structure, built by ``build_conflict_graph``."""
+"""Conflict hypergraph structure, built by ``build_conflict_graph``.
+
+Colorings are per-position int arrays; ``positions_of`` (``tests/
+conftest.py``) turns a ``{row: color}`` dict into one.
+"""
 
 from repro import Relation, parse_dc
 from repro.phase2.edges import build_conflict_graph
@@ -41,29 +45,39 @@ class TestQueries:
         assert graph.vertices[graph.indices[start:stop]].tolist() == [2, 3]
         assert graph.degree(99) == 0
 
-    def test_order_is_degree_then_row(self, graph_from_edges):
+    def test_order_is_degree_then_row(self, graph_from_edges, positions_of):
         graph = graph_from_edges([(4, 1), (4, 2), (1, 2, 3)], vertices=[0])
-        assert graph.order({}) == [1, 2, 4, 3, 0]
-        assert graph.order({1: "a", 0: "b"}) == [2, 4, 3]
+        rows = graph.vertices.tolist()
+        order = graph.order(positions_of(graph, {}))
+        assert [rows[i] for i in order] == [1, 2, 4, 3, 0]
+        order = graph.order(positions_of(graph, {1: "a", 0: "b"}))
+        assert [rows[i] for i in order] == [2, 4, 3]
 
     def test_forbidden_binary_and_hyperedge(self, graph_from_edges):
         graph = graph_from_edges([(1, 2), (1, 3, 4)])
-        assert graph.forbidden(1, {}) == set()
-        assert graph.forbidden(1, {2: "a", 3: "b", 4: "c"}) == {"a"}
-        assert graph.forbidden(1, {2: "a", 3: "b", 4: "b"}) == {"a", "b"}
+        # Rows 1..4 sit at positions 0..3; colors a, b, c are 0, 1, 2.
+        assert graph.forbidden(0, [-1, -1, -1, -1]) == set()
+        assert graph.forbidden(0, [-1, 0, 1, 2]) == {0}
+        assert graph.forbidden(0, [-1, 0, 1, 1]) == {0, 1}
         # A hyperedge with an uncolored other member forbids nothing.
-        assert graph.forbidden(1, {3: "b"}) == set()
+        assert graph.forbidden(0, [-1, -1, 1, -1]) == set()
 
-    def test_is_proper_binary(self, graph_from_edges):
+    def test_is_proper_binary(self, graph_from_edges, positions_of):
         graph = graph_from_edges([(1, 2)])
-        assert graph.is_proper({1: "a", 2: "b"})
-        assert not graph.is_proper({1: "a", 2: "a"})
+        assert graph.is_proper(positions_of(graph, {1: "a", 2: "b"}))
+        assert not graph.is_proper(positions_of(graph, {1: "a", 2: "a"}))
 
-    def test_is_proper_hyperedge_needs_two_colors(self, graph_from_edges):
+    def test_is_proper_hyperedge_needs_two_colors(
+        self, graph_from_edges, positions_of
+    ):
         graph = graph_from_edges([(1, 2, 3)])
-        assert graph.is_proper({1: "a", 2: "a", 3: "b"})
-        assert not graph.is_proper({1: "a", 2: "a", 3: "a"})
+        assert graph.is_proper(positions_of(graph, {1: "a", 2: "a", 3: "b"}))
+        assert not graph.is_proper(
+            positions_of(graph, {1: "a", 2: "a", 3: "a"})
+        )
 
-    def test_uncolored_vertices_do_not_violate(self, graph_from_edges):
+    def test_uncolored_vertices_do_not_violate(
+        self, graph_from_edges, positions_of
+    ):
         graph = graph_from_edges([(1, 2)])
-        assert graph.is_proper({1: "a"})
+        assert graph.is_proper(positions_of(graph, {1: "a"}))

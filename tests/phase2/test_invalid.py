@@ -4,6 +4,8 @@ import pytest
 
 from repro.constraints.parser import parse_cc, parse_dc
 from repro.core.metrics import dc_error, evaluate
+from repro.phase1.assignment import ViewAssignment
+from repro.phase1.combos import ComboCatalog
 from repro.phase1.hybrid import run_phase1
 from repro.phase2.fk_assignment import run_phase2
 from repro.relational.relation import Relation
@@ -28,7 +30,8 @@ class TestInvalidHandling:
             r1, r2, [], phase1.assignment, phase1.catalog, "hid", ccs=ccs
         )
         assert phase2.stats.num_invalid_handled == 2
-        assert len(phase2.coloring) == 3
+        keys = set(phase2.r2_hat.column("hid").tolist())
+        assert set(phase2.r1_hat.column("hid").tolist()) <= keys
         assert not phase1.assignment.invalid  # drained
 
     def test_invalid_rows_respect_dcs(self):
@@ -102,3 +105,36 @@ class TestInvalidHandling:
         )
         report = evaluate(phase2.r1_hat, phase2.r2_hat, "hid", ccs, [])
         assert report.mean_cc_error == 0.0
+
+    def test_fresh_str_key_ranks_among_r2_keys(self):
+        """A key minted for one invalid row is a candidate of the next,
+        ranked by key value: ``synthetic_2`` sorts between R2's ``a1``
+        and ``t2``, so the second row takes it before ``t2``."""
+        r1 = Relation.from_columns(
+            {
+                "pid": [0, 1, 2, 3],
+                "L": ["x", "y", "x", "w"],
+                "A": [0, 1, 1, 1],
+            },
+            key="pid",
+        )
+        r2 = Relation.from_columns(
+            {"hid": ["a1", "t2"], "B": ["p", "p"]}, key="hid"
+        )
+        dcs = [
+            parse_dc("not(t1.L == 'x' & t2.L == 'x')"),
+            parse_dc("not(t1.L == 'x' & t2.L == 'y')"),
+            parse_dc("not(t1.A == 0 & t2.L == 'w')"),
+        ]
+        catalog = ComboCatalog.from_relation(r2)
+        assignment = ViewAssignment(n=4, r2_attrs=catalog.attrs)
+        assignment.assign_rows([0, 1], {"B": "p"})
+        assignment.mark_invalid_rows([2, 3])
+        phase2 = run_phase2(r1, r2, dcs, assignment, catalog, "hid")
+        assert phase2.r1_hat.column("hid").tolist() == [
+            "a1", "t2", "synthetic_2", "synthetic_2",
+        ]
+        assert phase2.r2_hat.column("hid").tolist() == [
+            "a1", "t2", "synthetic_2",
+        ]
+        assert dc_error(phase2.r1_hat, "hid", dcs) == 0.0

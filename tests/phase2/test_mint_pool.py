@@ -2,9 +2,9 @@
 
 A fresh-color pass mints one key per skipped vertex, but mutually
 non-conflicting skipped vertices share the first fresh key — the old code
-discarded the rest, leaking id gaps into ``R2̂``.  The :class:`MintPool`
-returns unclaimed mints to a pool that later passes (and partitions)
-drain first.
+discarded the rest, leaking id gaps into ``R2̂``.  :class:`KeyTable`
+takes unclaimed mints back into a pool that later passes (and
+partitions) drain first.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from repro.constraints.dc import BinaryAtom, DenialConstraint
 from repro.phase1.assignment import ViewAssignment
 from repro.phase1.combos import ComboCatalog
-from repro.phase2.fk_assignment import FreshKeyFactory, MintPool, run_phase2
+from repro.phase2.fk_assignment import KeyTable, run_phase2
 from repro.relational.relation import Relation
 from repro.relational.types import Dtype
 
@@ -47,25 +47,33 @@ def _fixture():
     return r1, r2, [dc], assignment, catalog
 
 
+def _keys(table, colors):
+    return [table.key(c) for c in colors]
+
+
 class TestMintPool:
+    """:class:`KeyTable`'s pool: released colors are taken first."""
+
     def test_take_prefers_released_keys(self):
-        factory = FreshKeyFactory([1, 2], Dtype.INT)
-        pool = MintPool(factory)
-        first = pool.take(3)
-        assert first == [3, 4, 5]
-        pool.release([4, 5])
-        assert pool.take(3) == [4, 5, 6]
+        table = KeyTable(np.asarray([1, 2]), Dtype.INT)
+        first = table.take(3)
+        assert first == [2, 3, 4]  # colors past R2's two rows
+        assert _keys(table, first) == [3, 4, 5]
+        table.release(first[1:])
+        assert _keys(table, table.take(3)) == [4, 5, 6]
 
     def test_take_zero(self):
-        pool = MintPool(FreshKeyFactory([], Dtype.INT))
-        assert pool.take(0) == []
+        table = KeyTable(np.empty(0, dtype=np.int64), Dtype.INT)
+        assert table.take(0) == []
 
     def test_mint_drains_pool_first(self):
-        """The invalid-tuple fallbacks mint through the pool too."""
-        pool = MintPool(FreshKeyFactory([1], Dtype.INT))
-        pool.release([99])
-        assert pool.mint() == 99
-        assert pool.mint() == 2
+        """The invalid-tuple fallbacks take one color at a time, from
+        the pool first."""
+        table = KeyTable(np.asarray([1]), Dtype.INT)
+        first = table.take(2)
+        table.release(first[1:])
+        assert _keys(table, table.take(1)) == [3]
+        assert _keys(table, table.take(1)) == [4]
 
 
 class TestNoKeyGaps:
@@ -82,24 +90,12 @@ class TestNoKeyGaps:
 
     def test_partitioned_sequential(self):
         r1, r2, dcs, assignment, catalog = _fixture()
-        phase2 = run_phase2(
-            r1, r2, dcs, assignment, catalog, "hid", partitioned=True
-        )
+        phase2 = run_phase2(r1, r2, dcs, assignment, catalog, "hid")
         self._assert_dense_new_keys(r2, phase2)
         # One fresh key per partition suffices; the old code minted two
         # and leaked one, so the dense assertion above would fail.
         assert phase2.stats.num_new_r2_tuples == 2
         # All DCs hold: conflicting pairs never share a key.
-        fk = phase2.r1_hat.column("hid")
-        for u, v in [(0, 1), (2, 3), (4, 5), (6, 7)]:
-            assert fk[u] != fk[v]
-
-    def test_non_partitioned_global_graph(self):
-        r1, r2, dcs, assignment, catalog = _fixture()
-        phase2 = run_phase2(
-            r1, r2, dcs, assignment, catalog, "hid", partitioned=False
-        )
-        self._assert_dense_new_keys(r2, phase2)
         fk = phase2.r1_hat.column("hid")
         for u, v in [(0, 1), (2, 3), (4, 5), (6, 7)]:
             assert fk[u] != fk[v]

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnSpec, Schema
+from repro.relational.store import _NPY_PREAMBLE
 from repro.relational.types import CatDomain, Dtype
 from repro.service.cache import _ENTRY_VERSION, EdgeCache
+from repro.service.engine import run_spec
 from repro.spec.api import EdgeReport
+from repro.spec.io import load_spec
+
+UNIVERSITY = (
+    Path(__file__).resolve().parents[2] / "examples/specs/university.toml"
+)
 
 
 @pytest.fixture
@@ -144,3 +152,54 @@ def test_stale_version_entry_is_replaced(tmp_path, fk_spec, parent):
     assert entry is not None and third.stats()["hits"] == 1
     assert entry.report == report
     EdgeReport.from_payload(entry.report, cache_hit=True)
+
+
+# ----------------------------------------------------------------------
+# Damaged entries: a miss and a re-solve, never a splice
+# ----------------------------------------------------------------------
+
+
+def _flip_first_value_bit(path):
+    data = bytearray(path.read_bytes())
+    data[_NPY_PREAMBLE] ^= 1
+    path.write_bytes(data)
+
+
+def _cut_tail(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _half_meta(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        # One bit of the first FK value, in every entry.
+        lambda entries: [
+            _flip_first_value_bit(e / "fk" / "col_0.npy") for e in entries
+        ],
+        # The last value of one entry's first parent column.
+        lambda entries: _cut_tail(entries[0] / "parent" / "col_0.npy"),
+        # A half-written meta.json.
+        lambda entries: _half_meta(entries[0] / "meta.json"),
+    ],
+    ids=["fk-bit-flip", "parent-truncated", "meta-half-written"],
+)
+def test_damaged_entry_is_a_miss(tmp_path, damage):
+    spec = load_spec(UNIVERSITY).with_options(workers=0)
+    directory = tmp_path / "c"
+    cold = run_spec(spec, cache=EdgeCache(directory))
+    entries = sorted(p for p in directory.iterdir() if p.is_dir())
+    assert len(entries) == len(cold.edges) == 3
+    damage(entries)
+
+    warm = run_spec(spec, cache=EdgeCache(directory))
+    assert not all(e.cache_hit for e in warm.edges)
+    assert warm.database.identical_to(cold.database)
+    # The re-solved edges replaced the damaged entries.
+    again = run_spec(spec, cache=EdgeCache(directory))
+    assert all(e.cache_hit for e in again.edges)
+    assert again.database.identical_to(cold.database)

@@ -16,6 +16,7 @@ RETIRED_OPTIONS = (
     "executor",
     "sql_min_rows",
     "parallel_workers",
+    "partitioned_coloring",
 )
 
 
@@ -369,6 +370,22 @@ class TestEdgeSolverOverrides:
             _two_table_spec(solver={"marginals": "sometimes"})
         with pytest.raises(SchemaError, match="time_limit"):
             _two_table_spec(solver={"time_limit": -1.0})
+
+    def test_nan_time_limit_rejected_at_load(self, tmp_path):
+        # TOML spells NaN ``nan``; ``nan <= 0`` is false, so a NaN limit
+        # used to load and mean "no limit".
+        for where in ("options", "solver"):
+            text = toml_dumps(_two_table_spec().to_dict())
+            if where == "options":
+                text += "\n[options]\ntime_limit = nan\n"
+            else:
+                text = text.replace(
+                    "[[edges]]\n", "[[edges]]\nsolver = { time_limit = nan }\n"
+                )
+            path = tmp_path / f"{where}.toml"
+            path.write_text(text)
+            with pytest.raises(SchemaError, match="time_limit must be"):
+                load_spec(path)
 
     def test_effective_config_shadows_global(self):
         from repro.core.snowflake import EdgeConstraints
